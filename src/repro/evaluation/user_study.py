@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from repro.errors import ReproError
 from repro.generation.generator import GeneratedQuery
@@ -134,6 +133,7 @@ class StudyResult:
 
     def t_test(self, first: str, second: str, criterion: str) -> float:
         """Two-sided Welch t-test p-value between two generators' ratings."""
+        from scipy import stats as scipy_stats
         c = CRITERIA.index(criterion)
         a = self.ratings[first][:, c]
         b = self.ratings[second][:, c]

@@ -107,8 +107,9 @@ class _BatchCache:
         self._fresh_counter = 0
 
     def _make(self, n_x: int, n_y: int, extra: object = None) -> SharedPermutations:
-        rng = derive_rng(self._seed, "perm-batch", self._attribute, n_x, n_y, extra)
-        return SharedPermutations(n_x, n_y, self._n_permutations, rng)
+        with obs.span("stats.permute", n_x=n_x, n_y=n_y):
+            rng = derive_rng(self._seed, "perm-batch", self._attribute, n_x, n_y, extra)
+            return SharedPermutations(n_x, n_y, self._n_permutations, rng)
 
     def get(self, n_x: int, n_y: int) -> SharedPermutations:
         if not self._share:
@@ -278,66 +279,60 @@ def run_attribute_chunk(
         results: list[TestResult | None] = []
         # Batched mode: planned tests per shared batch, in planning order.
         pending: dict[int, tuple[SharedPermutations, list[KernelTest]]] = {}
-        for candidate in group:
-            if checkpoint is not None:
-                checkpoint()
-            itype = insight_type(candidate.type_code)
-            code_x = column.code_of(candidate.val)
-            code_y = column.code_of(candidate.val_other)
-            rows_x = row_index.get(code_x)
-            rows_y = row_index.get(code_y)
-            if rows_x is None or rows_y is None:
-                advance(1)
-                continue
-            values = measures.get(candidate.measure)
-            if values is None:
-                raise StatisticsError(f"unknown measure {candidate.measure!r}")
-            x = values[rows_x]
-            y = values[rows_y]
-            x = x[~np.isnan(x)]
-            y = y[~np.isnan(y)]
-            if x.size == 0 or y.size == 0:
-                advance(1)
-                continue
-            # Orient toward the observed dominant side.
-            statistic = itype.observed_statistic(x, y)
-            if np.isnan(statistic):
-                advance(1)
-                continue
-            if statistic >= 0:
-                side_x, side_y = x, y
-                final = candidate
-            else:
-                side_x, side_y = y, x
-                final = CandidateInsight(
-                    candidate.measure,
-                    candidate.attribute,
-                    candidate.val_other,
-                    candidate.val,
-                    candidate.type_code,
+        with obs.span("stats.plan", candidates=len(group)):
+            for candidate in group:
+                if checkpoint is not None:
+                    checkpoint()
+                itype = insight_type(candidate.type_code)
+                rows_x = row_index.get(column.code_of(candidate.val))
+                rows_y = row_index.get(column.code_of(candidate.val_other))
+                if rows_x is None or rows_y is None:
+                    advance(1)
+                    continue
+                values = measures.get(candidate.measure)
+                if values is None:
+                    raise StatisticsError(f"unknown measure {candidate.measure!r}")
+                x = values[rows_x]
+                y = values[rows_y]
+                x = x[~np.isnan(x)]
+                y = y[~np.isnan(y)]
+                if x.size == 0 or y.size == 0:
+                    advance(1)
+                    continue
+                # Orient toward the observed dominant side; the statistic is
+                # antisymmetric, so the oriented value is exactly -statistic.
+                statistic = itype.observed_statistic(x, y)
+                if np.isnan(statistic):
+                    advance(1)
+                    continue
+                if statistic >= 0:
+                    side_x, side_y = x, y
+                    final = candidate
+                else:
+                    side_x, side_y = y, x
+                    statistic = -statistic
+                    final = CandidateInsight(
+                        candidate.measure,
+                        candidate.attribute,
+                        candidate.val_other,
+                        candidate.val,
+                        candidate.type_code,
+                    )
+                oriented.append(final)
+                if config.engine == "parametric":
+                    results.append(itype.parametric_test(side_x, side_y))
+                    advance(1)
+                    continue
+                batch = batches.get(side_x.size, side_y.size)
+                if not batched:
+                    results.append(itype.test(batch, side_x, side_y))
+                    advance(1)
+                    continue
+                pooled = np.concatenate([side_x, side_y])
+                pending.setdefault(id(batch), (batch, []))[1].append(
+                    KernelTest(len(results), itype, pooled, statistic)
                 )
-            if config.engine == "parametric":
-                oriented.append(final)
-                results.append(itype.parametric_test(side_x, side_y))
-                advance(1)
-                continue
-            batch = batches.get(side_x.size, side_y.size)
-            if not batched:
-                oriented.append(final)
-                results.append(itype.test(batch, side_x, side_y))
-                advance(1)
-                continue
-            slot = len(results)
-            oriented.append(final)
-            results.append(None)
-            observed = itype.observed_statistic(side_x, side_y)
-            entry = pending.get(id(batch))
-            if entry is None:
-                entry = (batch, [])
-                pending[id(batch)] = entry
-            entry[1].append(
-                KernelTest(slot, itype, np.concatenate([side_x, side_y]), observed)
-            )
+                results.append(None)
         for batch, planned in pending.values():
             for slot, result in run_batched_tests(batch, planned, checkpoint, progress):
                 results[slot] = result

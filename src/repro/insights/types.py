@@ -83,7 +83,11 @@ class InsightType(abc.ABC):
 
     @abc.abstractmethod
     def observed_statistic(self, x: np.ndarray, y: np.ndarray) -> float:
-        """Signed statistic on raw data; > 0 means X dominates Y."""
+        """Signed statistic on NaN-free raw data; > 0 means X dominates Y.
+
+        Must be antisymmetric (swapping ``x`` and ``y`` negates it exactly,
+        as for any IEEE difference ``f(x) - f(y)``): the runner orients a
+        pair by flipping the sign."""
 
     @abc.abstractmethod
     def supports(self, x_series: np.ndarray, y_series: np.ndarray) -> bool:
@@ -121,7 +125,6 @@ class MeanGreater(InsightType):
         return welch_mean_greater(x, y)
 
     def observed_statistic(self, x: np.ndarray, y: np.ndarray) -> float:
-        x, y = _finite(x), _finite(y)
         if x.size == 0 or y.size == 0:
             return float("nan")
         return float(np.mean(x) - np.mean(y))
@@ -157,7 +160,6 @@ class VarianceGreater(InsightType):
         return f_variance_greater(x, y)
 
     def observed_statistic(self, x: np.ndarray, y: np.ndarray) -> float:
-        x, y = _finite(x), _finite(y)
         if x.size < 2 or y.size < 2:
             return float("nan")
         return float(np.var(x, ddof=1) - np.var(y, ddof=1))
@@ -204,7 +206,6 @@ class MedianGreater(InsightType):
         return welch_mean_greater(x, y)
 
     def observed_statistic(self, x: np.ndarray, y: np.ndarray) -> float:
-        x, y = _finite(x), _finite(y)
         if x.size == 0 or y.size == 0:
             return float("nan")
         return float(np.median(x) - np.median(y))

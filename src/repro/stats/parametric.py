@@ -3,25 +3,20 @@
 The paper chooses resampling over parametric testing (Section 5.1.1); these
 scipy-backed tests exist as a faster alternative engine and as the
 comparison arm of the permutation-vs-parametric ablation benchmark.
+scipy is imported on first use, so the default (permutation) engine never
+pays for loading it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats as scipy_stats
 
-from repro.errors import StatisticsError
-from repro.stats.permutation import TestResult, mean_difference, variance_difference
-
-
-def _clean_pair(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    x = x[~np.isnan(x)]
-    y = y[~np.isnan(y)]
-    if x.size == 0 or y.size == 0:
-        raise StatisticsError("parametric test requires non-empty samples on both sides")
-    return x, y
+from repro.stats.permutation import (
+    TestResult,
+    _clean_pair,
+    mean_difference,
+    variance_difference,
+)
 
 
 def welch_mean_greater(x: np.ndarray, y: np.ndarray) -> TestResult:
@@ -33,6 +28,7 @@ def welch_mean_greater(x: np.ndarray, y: np.ndarray) -> TestResult:
         # Degenerate: constant samples; fall back on a direct comparison.
         diff = mean_difference(x, y)
         return TestResult(diff, 0.0 if diff > 0 else 1.0)
+    from scipy import stats as scipy_stats
     result = scipy_stats.ttest_ind(x, y, equal_var=False, alternative="greater")
     return TestResult(mean_difference(x, y), float(result.pvalue))
 
@@ -52,6 +48,7 @@ def f_variance_greater(x: np.ndarray, y: np.ndarray) -> TestResult:
     if vy == 0:
         p = 0.0 if vx > 0 else 1.0
         return TestResult(vx - vy, p)
+    from scipy import stats as scipy_stats
     ratio = vx / vy
     p = float(scipy_stats.f.sf(ratio, x.size - 1, y.size - 1))
     return TestResult(vx - vy, p)
@@ -67,6 +64,7 @@ def levene_variance_greater(x: np.ndarray, y: np.ndarray) -> TestResult:
     x, y = _clean_pair(x, y)
     if x.size < 2 or y.size < 2:
         return TestResult(variance_difference(x, y), 1.0)
+    from scipy import stats as scipy_stats
     diff = variance_difference(x, y)
     try:
         _, two_sided = scipy_stats.levene(x, y, center="median")

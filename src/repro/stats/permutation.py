@@ -79,7 +79,7 @@ def _clean_pair(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     x = x[~np.isnan(x)]
     y = y[~np.isnan(y)]
     if x.size == 0 or y.size == 0:
-        raise StatisticsError("permutation test requires non-empty samples on both sides")
+        raise StatisticsError("a two-sample test requires non-empty samples on both sides")
     return x, y
 
 
@@ -162,12 +162,13 @@ class SharedPermutations:
 
     For a pooled sample of ``n_x + n_y`` rows, holds ``n_permutations``
     random partitions of the pooled indices into an X-part of size ``n_x``
-    and a Y-part.  All measures of the same selection pair reuse the same
-    partitions, exactly as Section 5.1.1 prescribes — which both saves time
-    and makes the per-measure p-values comparable.
+    and a Y-part, stored as a ``(P, n_x + n_y)`` bool X-membership array.
+    All measures of the same selection pair reuse the same partitions,
+    exactly as Section 5.1.1 prescribes — which both saves time and makes
+    the per-measure p-values comparable.
     """
 
-    __slots__ = ("n_x", "n_y", "x_indices")
+    __slots__ = ("n_x", "n_y", "membership", "_x_indices")
 
     def __init__(self, n_x: int, n_y: int, n_permutations: int, rng: np.random.Generator):
         if n_x <= 0 or n_y <= 0:
@@ -176,20 +177,38 @@ class SharedPermutations:
             raise StatisticsError("n_permutations must be positive")
         self.n_x = n_x
         self.n_y = n_y
-        total = n_x + n_y
-        # One shuffled index row per permutation; argsort of uniforms is the
-        # standard vectorized way to draw many independent permutations.
-        # Only the X side is stored: the Y side is its complement, and the
-        # moment-sum kernels derive every Y-side quantity from pooled totals,
-        # so the batch costs half the memory it used to.
-        uniforms = rng.random((n_permutations, total))
-        shuffled = np.argsort(uniforms, axis=1)
-        self.x_indices = shuffled[:, :n_x].copy()
+        # Permutation p's X side is the n_x positions of its smallest
+        # uniforms (argsort's first n_x columns).  A k-th-value threshold
+        # finds that set in linear time; a row tied at the threshold falls
+        # back to argsort, so the set is exact either way.
+        uniforms = rng.random((n_permutations, n_x + n_y))
+        kth = np.partition(uniforms, n_x - 1, axis=1)[:, n_x - 1 : n_x]
+        member = uniforms <= kth
+        if np.count_nonzero(member) != n_permutations * n_x:
+            for row in np.flatnonzero(member.sum(axis=1) != n_x):
+                member[row] = False
+                member[row, np.argsort(uniforms[row])[:n_x]] = True
+        # Only the bool membership is kept: the Y side is its complement,
+        # and the kernels derive every Y-side quantity from pooled totals.
+        self.membership = member
+        self._x_indices: np.ndarray | None = None
         obs.counter("stats.permutation_batches_created").inc()
 
     @property
     def n_permutations(self) -> int:
-        return int(self.x_indices.shape[0])
+        return int(self.membership.shape[0])
+
+    @property
+    def x_indices(self) -> np.ndarray:
+        """``(P, n_x)`` X-side pooled indices, ascending within each row.
+
+        Derived from the membership on first access and cached.  Only the
+        gather-based oracles (legacy kernel, median test) read it, so a
+        batch the batched kernel serves never holds it.
+        """
+        if self._x_indices is None:
+            self._x_indices = _row_columns(self.membership, self.n_x)
+        return self._x_indices
 
     def membership_mask(self) -> np.ndarray:
         """The ``(P, n_x + n_y)`` float64 X-membership mask of the batch.
@@ -197,11 +216,10 @@ class SharedPermutations:
         Row ``p`` holds 1.0 at the pooled positions permutation ``p`` assigns
         to the X side and 0.0 elsewhere.  ``mask @ moments.T`` then computes
         every permutation's X-side moment sums in one BLAS call — the
-        batched kernel's core product (see :mod:`repro.stats.kernel`).
+        batched kernel's core product (see :mod:`repro.stats.kernel`).  Built
+        fresh on each call; the batch itself keeps only the bool membership.
         """
-        mask = np.zeros((self.n_permutations, self.n_x + self.n_y), dtype=np.float64)
-        np.put_along_axis(mask, self.x_indices, 1.0, axis=1)
-        return mask
+        return self.membership.astype(np.float64)
 
     def complement_indices(self) -> np.ndarray:
         """Y-side pooled indices, derived per row as the complement of X.
@@ -209,12 +227,7 @@ class SharedPermutations:
         Returned sorted within each row; order-insensitive consumers only
         (sums, medians, quantiles — any statistic of the Y *set*).
         """
-        total = self.n_x + self.n_y
-        member = np.zeros((self.n_permutations, total), dtype=bool)
-        np.put_along_axis(member, self.x_indices, True, axis=1)
-        rows, cols = np.nonzero(~member)
-        del rows  # row-major np.nonzero already yields per-row sorted columns
-        return cols.reshape(self.n_permutations, self.n_y)
+        return _row_columns(~self.membership, self.n_y)
 
     def mean_greater(self, x: np.ndarray, y: np.ndarray) -> TestResult:
         """One-sided mean-greater test of ``x`` over ``y`` reusing the batch."""
@@ -250,6 +263,13 @@ class SharedPermutations:
                 f"batch ({self.n_x}, {self.n_y}); NaNs must be removed before batching"
             )
         return x, y
+
+
+def _row_columns(member: np.ndarray, per_row: int) -> np.ndarray:
+    """Column indices of each row's ``per_row`` True cells, ascending."""
+    rows, width = member.shape
+    flat = np.flatnonzero(member).reshape(rows, per_row)
+    return flat - (np.arange(rows) * width)[:, None]
 
 
 def _one_sided(observed: float, permuted: np.ndarray) -> TestResult:

@@ -61,7 +61,9 @@ class TestConfigToken:
         ],
     )
     def test_sensitive_to_result_shaping_fields(self, mutate):
-        base = GenerationConfig()
+        # Pin the kernel: the default comes from REPRO_STATS_KERNEL, and in
+        # the legacy CI leg kernel="legacy" would otherwise change nothing.
+        base = with_significance(GenerationConfig(), kernel="batched")
         assert incremental_config_token(base) != incremental_config_token(
             mutate(base)
         )

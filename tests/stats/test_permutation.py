@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import StatisticsError
 from repro.stats import (
@@ -55,6 +57,42 @@ class TestSharedPermutations:
         assert np.all(mask.sum(axis=1) == 6.0)
         for i in range(25):
             assert set(np.nonzero(mask[i])[0].tolist()) == set(batch.x_indices[i].tolist())
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 40),
+        st.one_of(st.just(1), st.integers(1, 60)),
+        st.one_of(st.just(1), st.integers(1, 60)),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_membership_is_the_argsort_prefix(self, n_permutations, n_x, n_y, seed):
+        # On the same draw, the threshold-built X side is exactly the set
+        # of the n_x smallest uniforms that argsort selects.
+        batch = SharedPermutations(n_x, n_y, n_permutations, np.random.default_rng(seed))
+        uniforms = np.random.default_rng(seed).random((n_permutations, n_x + n_y))
+        expected = np.sort(np.argsort(uniforms, axis=1)[:, :n_x], axis=1)
+        assert batch.membership.dtype == np.bool_
+        assert batch.membership.shape == (n_permutations, n_x + n_y)
+        np.testing.assert_array_equal(batch.x_indices, expected)
+        for row, chosen in zip(batch.membership, expected):
+            assert set(np.flatnonzero(row).tolist()) == set(chosen.tolist())
+
+    def test_tie_at_the_threshold_falls_back_to_argsort(self):
+        class FixedDraw:
+            def __init__(self, uniforms):
+                self.uniforms = uniforms
+
+            def random(self, shape):
+                assert shape == self.uniforms.shape
+                return self.uniforms.copy()
+
+        # Row 0 ties at the 2nd-smallest value (three uniforms <= 0.5), so
+        # the threshold over-selects; row 1 has no tie.
+        uniforms = np.array([[0.5, 0.1, 0.5, 0.9, 0.5], [0.3, 0.2, 0.8, 0.7, 0.1]])
+        batch = SharedPermutations(2, 3, 2, FixedDraw(uniforms))
+        expected = np.sort(np.argsort(uniforms, axis=1)[:, :2], axis=1)
+        np.testing.assert_array_equal(batch.x_indices, expected)
+        assert batch.membership.sum(axis=1).tolist() == [2, 2]
 
     def test_invalid_sizes(self, prng):
         with pytest.raises(StatisticsError):
