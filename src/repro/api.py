@@ -47,18 +47,6 @@ logger = logging.getLogger(__name__)
 
 __all__ = ["Session", "generate_notebook"]
 
-#: Process-wide run lock.  :meth:`Session.generate` and
-#: :meth:`Session.render` swap the *ambient* tracer/metrics pair
-#: (:func:`repro.obs.use` — module state, not thread-local), so two runs
-#: from different threads would trample each other's traces even on
-#: different sessions.  Every run therefore serializes on this lock; it is
-#: reentrant so a render nested inside the owning thread never deadlocks.
-#: The serving layer (:mod:`repro.serve`) relies on this: its executor
-#: threads submit runs freely and correctness never depends on executor
-#: count.
-_RUN_LOCK = threading.RLock()
-
-
 class Session:
     """One dataset, many runs: the owner of every long-lived resource.
 
@@ -86,13 +74,14 @@ class Session:
     Thread safety
     -------------
     A session may be *shared* across threads (the serving layer keeps one
-    warm session per registered dataset), but runs are serialized:
-    :meth:`generate` and :meth:`render` hold the session's lock plus a
-    process-wide run lock for their full duration, so concurrent calls
-    block until the running one finishes rather than corrupting the shared
-    backend, aggregate cache, or ambient observability state.  Callers
-    that would rather shed than wait can test :attr:`busy` first (advisory
-    — admission control belongs in front of the session, as
+    warm session per registered dataset), but its runs are serialized:
+    :meth:`generate` and :meth:`render` hold the session's lock, so
+    concurrent calls block rather than corrupt the shared backend or
+    aggregate cache.  Runs on *different* sessions proceed at once: each
+    installs its tracer/metrics pair and worker fleet for its own context
+    only (:func:`repro.obs.use`, :func:`repro.parallel.use_fleet`).
+    Callers that would rather shed than wait can test :attr:`busy` first
+    (advisory — admission control belongs in front of the session, as
     :mod:`repro.serve` does with its bounded queue).
     """
 
@@ -352,7 +341,7 @@ class Session:
     def _drain_retired(self) -> None:
         """Release resources superseded by :meth:`append`.
 
-        Called at run boundaries (under the run locks, so nothing is in
+        Called at run boundaries (under the session lock, so nothing is in
         flight on them) and from :meth:`close`.
         """
         with self._state_lock:
@@ -430,7 +419,7 @@ class Session:
         from repro.runtime import resilient_generate
 
         cfg = self.config
-        with self._lock, _RUN_LOCK, obs.use(
+        with self._lock, obs.use(
             tracer or self.tracer, metrics or self.metrics
         ):
             if self._closed:
@@ -501,7 +490,7 @@ class Session:
         """Render a run as a notebook (with the render degradation ladder)."""
         from repro.runtime import resilient_render
 
-        with self._lock, _RUN_LOCK, obs.use(
+        with self._lock, obs.use(
             tracer or self.tracer, metrics or self.metrics
         ):
             return resilient_render(

@@ -236,8 +236,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-request deadline budget when the request "
                             "names none (default 30)")
     serve.add_argument("--executors", type=int, default=1,
-                       help="job executor threads (default 1; runs serialize "
-                            "on the process-wide run lock regardless)")
+                       help="job executor threads (default 1); jobs on "
+                            "different datasets run at the same time, jobs "
+                            "on one dataset one after another")
     serve.add_argument("--breaker-failures", type=int, default=3,
                        help="consecutive job failures before a dataset's "
                             "circuit opens (default 3)")

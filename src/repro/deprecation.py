@@ -10,16 +10,19 @@ quiet enough not to flood a loop that constructs thousands of configs.
 
 from __future__ import annotations
 
+import threading
 import warnings
 
 _emitted: set[str] = set()
+_emitted_lock = threading.Lock()
 
 
 def warn_once(key: str, message: str, *, stacklevel: int = 3) -> None:
     """Emit ``message`` as a DeprecationWarning, once per ``key``."""
-    if key in _emitted:
-        return
-    _emitted.add(key)
+    with _emitted_lock:
+        if key in _emitted:
+            return
+        _emitted.add(key)
     warnings.warn(message, DeprecationWarning, stacklevel=stacklevel)
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import logging
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextvars import copy_context
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -517,8 +518,11 @@ def _execute_tests(
     merged: dict[str, tuple[list, list]] = {attribute: ([], []) for attribute, _, _ in work}
     with ThreadPoolExecutor(max_workers=parallel.workers) as pool:
         try:
+            # Each task runs in a copy of this context, so its spans and
+            # counters land in the run's ambient tracer and registry.
             futures = [
-                (attribute, pool.submit(run_attribute_chunk, sample, attribute, chunk,
+                (attribute, pool.submit(copy_context().run, run_attribute_chunk,
+                                        sample, attribute, chunk,
                                         config.significance, checkpoint))
                 for attribute, sample, chunk in jobs
             ]
@@ -698,7 +702,8 @@ def _evaluate_support(
         outputs = [process_group(key, members) for key, members in items]
     else:
         with ThreadPoolExecutor(max_workers=parallel.workers) as pool:
-            futures = [pool.submit(process_group, key, members) for key, members in items]
+            futures = [pool.submit(copy_context().run, process_group, key, members)
+                       for key, members in items]
             outputs = [f.result() for f in futures]
 
     for local_queries, local_count in outputs:

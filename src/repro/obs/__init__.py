@@ -29,6 +29,7 @@ see ``docs/observability.md`` for the taxonomy.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import Iterator
 
 from repro.obs.export import (
@@ -79,31 +80,34 @@ __all__ = [
     "write_chrome_trace",
 ]
 
-_tracer = Tracer()
-_metrics = MetricsRegistry()
+#: The ambient (tracer, registry) pair of the running context; the
+#: process-wide default catches work done outside any :func:`use` block.
+_ambient: ContextVar[tuple[Tracer, MetricsRegistry]] = ContextVar(
+    "repro_obs_ambient", default=(Tracer(), MetricsRegistry())
+)
 
 
 def current_tracer() -> Tracer:
     """The ambient tracer the pipeline records spans into."""
-    return _tracer
+    return _ambient.get()[0]
 
 
 def current_metrics() -> MetricsRegistry:
     """The ambient metrics registry."""
-    return _metrics
+    return _ambient.get()[1]
 
 
 def span(name: str, **attrs):
     """Open a span on the ambient tracer (context manager)."""
-    return _tracer.span(name, **attrs)
+    return _ambient.get()[0].span(name, **attrs)
 
 
 def counter(name: str, labels: dict | None = None) -> Counter:
-    return _metrics.counter(name, labels)
+    return _ambient.get()[1].counter(name, labels)
 
 
 def gauge(name: str, labels: dict | None = None) -> Gauge:
-    return _metrics.gauge(name, labels)
+    return _ambient.get()[1].gauge(name, labels)
 
 
 def histogram(
@@ -111,30 +115,30 @@ def histogram(
     labels: dict | None = None,
     buckets: tuple[float, ...] | None = None,
 ) -> Histogram:
-    return _metrics.histogram(name, labels, buckets=buckets)
+    return _ambient.get()[1].histogram(name, labels, buckets=buckets)
 
 
 def reset() -> None:
     """Clear the ambient tracer and registry (start of an isolated run)."""
-    _tracer.reset()
-    _metrics.reset()
+    tracer, metrics = _ambient.get()
+    tracer.reset()
+    metrics.reset()
 
 
 @contextmanager
 def use(tracer: Tracer, metrics: MetricsRegistry) -> Iterator[None]:
-    """Temporarily swap the ambient tracer and registry.
+    """Install ``tracer``/``metrics`` as the ambient pair for the block.
 
-    Worker threads spawned inside the block see the swapped instances
-    (the ambient pair is module state, not thread-local); concurrent
-    captures from different threads are not supported.
+    The pair is scoped to the calling context, not the process, so
+    concurrent runs on other threads stay apart.  A thread started inside
+    the block begins with the process default; run its work under
+    ``contextvars.copy_context().run`` to record into this pair.
     """
-    global _tracer, _metrics
-    previous = (_tracer, _metrics)
-    _tracer, _metrics = tracer, metrics
+    token = _ambient.set((tracer, metrics))
     try:
         yield
     finally:
-        _tracer, _metrics = previous
+        _ambient.reset(token)
 
 
 @contextmanager

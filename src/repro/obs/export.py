@@ -19,17 +19,7 @@ import re
 from pathlib import Path
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.spans import Span, Tracer
-
-#: Attribute types that serialize losslessly into trace-event args.
-_SCALAR = (str, int, float, bool, type(None))
-
-
-def _clean_args(attrs: dict) -> dict:
-    return {
-        key: (value if isinstance(value, _SCALAR) else repr(value))
-        for key, value in attrs.items()
-    }
+from repro.obs.spans import Span, Tracer, clean_attrs
 
 
 def chrome_trace_events(tracer: Tracer, include_open: bool = False) -> list[dict]:
@@ -48,7 +38,7 @@ def chrome_trace_events(tracer: Tracer, include_open: bool = False) -> list[dict
     pid = os.getpid()
     events = []
     for span in sorted(spans, key=lambda s: s.start):
-        args = _clean_args(span.attrs)
+        args = clean_attrs(span.attrs)
         args["span_id"] = span.span_id
         if span.parent_id is not None:
             args["parent_id"] = span.parent_id
@@ -226,7 +216,7 @@ def format_span_tree(tracer: Tracer, max_depth: int = 6) -> str:
     def describe(span: Span) -> str:
         share = span.duration / total
         text = f"{span.name:<40} {span.duration * 1e3:9.1f}ms  {share:6.1%}"
-        attrs = _clean_args(span.attrs)
+        attrs = clean_attrs(span.attrs)
         if span.error is not None:
             attrs["error"] = span.error
         if attrs:

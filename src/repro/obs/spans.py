@@ -23,9 +23,23 @@ Usage::
 from __future__ import annotations
 
 import itertools
+import json
 import threading
 import time
+import zlib
 from typing import Callable, Iterator
+
+
+#: Attribute types that serialize losslessly into trace-event args.
+_SCALAR = (str, int, float, bool, type(None))
+
+
+def clean_attrs(attrs: dict) -> dict:
+    """``attrs`` with every non-scalar value replaced by its ``repr``."""
+    return {
+        key: (value if isinstance(value, _SCALAR) else repr(value))
+        for key, value in attrs.items()
+    }
 
 
 class Span:
@@ -307,6 +321,34 @@ class Tracer:
                 span.error = record["error"]
                 self._spans.append(span)
         return wrapper
+
+    # -- compact retention ---------------------------------------------------
+
+    def freeze(self) -> bytes:
+        """Every span as one zlib-compressed JSON record (see :meth:`thaw`).
+
+        For keeping a finished trace around: a :class:`Span` costs a few
+        hundred bytes, a span in the frozen record a few dozen.  Clock
+        readings and ids are kept exactly; non-scalar attribute values
+        are kept as their ``repr``, which is what every exporter shows.
+        """
+        rows = [
+            [s.name, clean_attrs(s.attrs), s.span_id, s.parent_id,
+             s.thread_id, s.start, s.end, s.error]
+            for s in self.spans()
+        ]
+        return zlib.compress(json.dumps(rows, separators=(",", ":")).encode())
+
+    @classmethod
+    def thaw(cls, record: bytes) -> "Tracer":
+        """Rebuild the tracer a :meth:`freeze` record was made from."""
+        tracer = cls()
+        for (name, attrs, span_id, parent_id, thread_id,
+             start, end, error) in json.loads(zlib.decompress(record)):
+            span = Span(name, attrs, span_id, parent_id, thread_id, tracer._clock)
+            span.start, span.end, span.error = start, end, error
+            tracer._spans.append(span)
+        return tracer
 
     def reset(self) -> None:
         """Drop every recorded span (the per-thread stacks clear lazily)."""

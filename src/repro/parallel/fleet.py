@@ -40,6 +40,7 @@ import os
 import pickle
 import queue as queue_mod
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
@@ -406,26 +407,27 @@ class WorkerFleet:
 
 
 #: The ambient fleet, installed by ``api.Session`` around each run.  Like
-#: the ambient tracer/metrics (:func:`repro.obs.use`) this is module
-#: state, not thread-local — safe because every run serializes on the
-#: process-wide run lock.
-_ambient_fleet: WorkerFleet | None = None
+#: the ambient tracer/metrics (:func:`repro.obs.use`) it is scoped to the
+#: running context, so concurrent runs of different sessions each see
+#: their own session's fleet.
+_ambient_fleet: ContextVar[WorkerFleet | None] = ContextVar(
+    "repro_ambient_fleet", default=None
+)
 
 
 def current_fleet() -> WorkerFleet | None:
     """The ambient fleet, if one is installed and still open."""
-    if _ambient_fleet is not None and not _ambient_fleet.closed:
-        return _ambient_fleet
+    fleet = _ambient_fleet.get()
+    if fleet is not None and not fleet.closed:
+        return fleet
     return None
 
 
 @contextmanager
 def use_fleet(fleet: WorkerFleet) -> Iterator[None]:
     """Make ``fleet`` ambient so every pool in scope amortizes onto it."""
-    global _ambient_fleet
-    previous = _ambient_fleet
-    _ambient_fleet = fleet
+    token = _ambient_fleet.set(fleet)
     try:
         yield
     finally:
-        _ambient_fleet = previous
+        _ambient_fleet.reset(token)

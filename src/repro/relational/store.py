@@ -257,11 +257,28 @@ _ATTACH_CACHE_LIMIT = 16
 
 _availability_probe: bool | None = None
 
+#: Guards the check-then-act sequences on the registries above (the
+#: attach cache's lookup/insert/evict, the one-time probe); ``_LIVE`` is
+#: only ever touched by single dict operations.
+_REGISTRY_LOCK = threading.Lock()
+
+
+def _reset_registry_lock() -> None:
+    # A worker forked while another thread of the parent held the lock
+    # would otherwise inherit it held, and hang on its first attach.
+    global _REGISTRY_LOCK
+    _REGISTRY_LOCK = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_reset_registry_lock)
+
 
 def shm_available() -> bool:
     """Whether POSIX shared memory actually works here (probed once)."""
     global _availability_probe
-    if _availability_probe is None:
+    with _REGISTRY_LOCK:
+        if _availability_probe is not None:
+            return _availability_probe
         try:
             from multiprocessing import shared_memory
 
@@ -275,7 +292,7 @@ def shm_available() -> bool:
             _availability_probe = True
         except Exception:
             _availability_probe = False
-    return _availability_probe
+        return _availability_probe
 
 
 def shm_resident_bytes() -> int:
@@ -462,13 +479,14 @@ def attach_table(handle: TableHandle) -> Table:
         # Fork-inherited owner record: the parent's mapping is valid in
         # this child; build fresh views over it.
         return _table_from_segment(handle, store._shm)
-    shm = _ATTACHED.get(handle.segment)
-    if shm is None:
-        shm = _open_segment(handle)
-        _ATTACHED[handle.segment] = shm
-        while len(_ATTACHED) > _ATTACH_CACHE_LIMIT:
-            oldest = next(iter(_ATTACHED))
-            _close_quietly(_ATTACHED.pop(oldest))
+    with _REGISTRY_LOCK:
+        shm = _ATTACHED.get(handle.segment)
+        if shm is None:
+            shm = _open_segment(handle)
+            _ATTACHED[handle.segment] = shm
+            while len(_ATTACHED) > _ATTACH_CACHE_LIMIT:
+                oldest = next(iter(_ATTACHED))
+                _close_quietly(_ATTACHED.pop(oldest))
     return _table_from_segment(handle, shm)
 
 

@@ -308,6 +308,10 @@ def _make_handler(server: ReproServer):
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
         server_version = "repro-serve"
+        # Headers and body leave in two writes; with Nagle's algorithm on,
+        # the body waits for the client's delayed ACK of the headers
+        # (~40 ms per response on a keep-alive connection).
+        disable_nagle_algorithm = True
 
         # -- plumbing -------------------------------------------------------
 

@@ -42,9 +42,11 @@ class ServeConfig:
         ladders, so an overloaded server degrades results instead of
         timing requests out.
     executors:
-        Job-executor threads.  Runs serialize on the process-wide run
-        lock (see :class:`repro.api.Session`), so extra executors only
-        overlap non-run work; 1 is the honest default.
+        Job-executor threads.  Jobs on different datasets run at the
+        same time, one per executor; jobs on one dataset still serialize
+        on its session (see :class:`repro.api.Session`).  How much two
+        runs overlap depends on the cores free and on how much of a run
+        is NumPy or SQLite work that releases the interpreter lock.
     job_attempts / retry_base_delay:
         Retry policy for transient job failures (injected crashes, pool
         worker deaths): total attempts and the base backoff, fed to the

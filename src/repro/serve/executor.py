@@ -142,6 +142,7 @@ class JobExecutor:
                 job.finish(STATUS_FAILED, error="executor returned without a verdict")
             self._admission.release(job)
             self._observe(job)
+            job.freeze_trace()
 
     def _run_job(self, job: Job) -> None:
         remaining = job.remaining_budget()

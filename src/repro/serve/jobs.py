@@ -100,7 +100,10 @@ class Job:
         # submitting thread, so submit-path spans nest under it there,
         # while executor threads (empty stack) fall back to it as the
         # oldest open root — one connected tree across both.
-        self.tracer = Tracer()
+        # The live tracer, replaced by its frozen record (bytes) in
+        # :meth:`freeze_trace` once the job is done.  One attribute, so a
+        # concurrent reader always gets one or the other.
+        self._trace: Tracer | bytes = Tracer()
         self.metrics = MetricsRegistry()
         self._root_span = self.tracer.start(
             "serve.request", job=job_id, dataset=dataset,
@@ -108,6 +111,31 @@ class Job:
         )
 
     # -- lifecycle -----------------------------------------------------------
+
+    @property
+    def tracer(self) -> Tracer:
+        """The job's span collector.
+
+        Live until :meth:`freeze_trace`; after that, each read rebuilds an
+        equal tracer from the frozen record.
+        """
+        trace = self._trace
+        return trace if isinstance(trace, Tracer) else Tracer.thaw(trace)
+
+    def freeze_trace(self) -> None:
+        """Swap a terminal job's span objects for one compressed record.
+
+        A retained job then holds tens of kilobytes of trace instead of
+        one :class:`~repro.obs.spans.Span` object per span (thousands on a
+        large dataset).  ``trace_doc`` and ``tracer`` read the same data
+        as before.  A no-op on a running or already frozen job, and while
+        any span is still open (the submitting thread may not have closed
+        ``serve.submit`` yet when a fast job finishes).
+        """
+        trace = self._trace
+        if (self.terminal and isinstance(trace, Tracer)
+                and all(span.closed for span in trace.spans())):
+            self._trace = trace.freeze()
 
     @property
     def terminal(self) -> bool:

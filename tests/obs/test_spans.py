@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import json
 import threading
 
 import pytest
 
-from repro.obs import Tracer
+from repro.obs import Tracer, to_chrome_trace
 
 
 class FakeClock:
@@ -198,3 +199,29 @@ class TestThreads:
         tracer.reset()
         assert tracer.spans() == []
         assert tracer.roots() == []
+
+
+class TestFreeze:
+    def test_thaw_rebuilds_an_equal_tracer(self):
+        clock = FakeClock()
+        tracer = Tracer(clock=clock)
+        with tracer.span("run", engine="permutation"):
+            clock.tick(0.5)
+            with pytest.raises(ValueError):
+                with tracer.span("stage", shape=(2, 3), ratio=float("nan")):
+                    clock.tick(0.25)
+                    raise ValueError("boom")
+        record = tracer.freeze()
+        assert isinstance(record, bytes)
+
+        thawed = Tracer.thaw(record)
+        fields = ("name", "span_id", "parent_id", "thread_id", "start", "end", "error")
+        assert [[getattr(s, f) for f in fields] for s in thawed.spans()] == [
+            [getattr(s, f) for f in fields] for s in tracer.spans()
+        ]
+        assert thawed.find("stage")[0].attrs["shape"] == "(2, 3)"
+        # The exported document is identical (NaN compares unequal, so
+        # compare its serialized form).
+        assert json.dumps(to_chrome_trace(thawed)) == json.dumps(
+            to_chrome_trace(tracer)
+        )

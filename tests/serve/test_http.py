@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import http.client
+import statistics
+import time
+
 import pytest
 
 from repro.serve import ServeConfig
@@ -127,3 +131,21 @@ def test_result_of_a_shed_job_is_410(make_server, serve_csv):
     assert code == 429
     code, job = http_request(f"{server.url}/jobs/{body['job']}/result")
     assert code == 410
+
+
+def test_keep_alive_responses_are_not_held_back(server):
+    """Headers and body leave in two writes; with Nagle's algorithm on, the
+    body waits ~40 ms for the client's delayed ACK on every response."""
+    conn = http.client.HTTPConnection(*server.address, timeout=10)
+    try:
+        seconds = []
+        for _ in range(10):
+            start = time.perf_counter()
+            conn.request("GET", "/healthz")
+            response = conn.getresponse()
+            response.read()
+            seconds.append(time.perf_counter() - start)
+            assert response.status == 200
+    finally:
+        conn.close()
+    assert statistics.median(seconds) < 0.020, seconds

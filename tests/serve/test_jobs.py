@@ -107,3 +107,24 @@ def test_store_prunes_only_terminal_jobs():
     assert store.get(jobs[0].id) is None
     assert store.get(jobs[1].id) is jobs[1]
     assert store.get(jobs[3].id) is jobs[3]  # still queued: never pruned
+
+
+def test_frozen_trace_serves_the_same_document():
+    job = make_job()
+    live = job.tracer
+    with live.span("serve.execute", job=job.id):
+        with live.span("stage.stats", shape=(2, 3)) as span:
+            span.set(candidates=7)
+    job.freeze_trace()  # still running: stays live
+    assert job.tracer is live
+
+    job.finish(STATUS_COMPLETED)
+    before = job.trace_doc()
+    job.freeze_trace()
+    assert job.tracer is not live  # rebuilt from the frozen record
+    assert job.trace_doc() == before
+    assert [s.name for s in job.tracer.spans()] == [
+        "serve.request", "serve.execute", "stage.stats",
+    ]
+    job.freeze_trace()  # idempotent
+    assert job.trace_doc() == before

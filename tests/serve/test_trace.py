@@ -179,3 +179,44 @@ class TestPerJobIsolation:
         assert code == 200
         (entry,) = body["datasets"]
         assert entry["cache"]["aggregate_hits"] > 0
+
+
+class TestConcurrentTenants:
+    def test_two_executors_keep_each_jobs_trace_to_its_dataset(
+        self, make_server, tmp_path
+    ):
+        """Jobs on two datasets run at once; neither trace holds a span of
+        the other's run."""
+        from repro.datasets import covid_table, enedis_table
+        from repro.relational import write_csv
+
+        server = make_server(ServeConfig(port=0, executors=2), register=None)
+        tables = {"covid": covid_table(400), "enedis": enedis_table(0.05)}
+        for name, table in tables.items():
+            write_csv(table, tmp_path / f"{name}.csv")
+            server.registry.register(name, tmp_path / f"{name}.csv")
+        submitted = {}
+        for name in tables:
+            code, out = http_request(f"{server.url}/generate", "POST",
+                                     {"dataset": name})
+            assert code == 202, out
+            submitted[name] = out["job"]
+        for name, job_id in submitted.items():
+            code, job = http_request(f"{server.url}/jobs/{job_id}?wait=60")
+            assert job["status"] == "completed", job
+            code, trace = http_request(f"{server.url}/jobs/{job_id}/trace")
+            assert code == 200
+            by_id, by_name = _span_index(trace)
+            roots = [e for e in by_id.values() if "parent_id" not in e["args"]]
+            assert [r["args"]["job"] for r in roots] == [job_id]
+            for event in by_id.values():
+                parent = event["args"].get("parent_id")
+                assert parent is None or parent in by_id, event["name"]
+            assert by_name["run"] == 1 and by_name["stage.stats"] == 1
+            columns = {attr.name for attr in tables[name].schema}
+            for event in by_id.values():
+                args = event["args"]
+                if "dataset" in args:
+                    assert args["dataset"] == name, event["name"]
+                if "attribute" in args:
+                    assert args["attribute"] in columns, event["name"]
