@@ -3,8 +3,10 @@
 The batched kernel (``repro/stats/kernel.py``) replaces the per-test
 fancy-indexed gather of the permutation hot path with one BLAS product per
 shared batch: a ``(P, n)`` membership mask multiplied against the stacked
-first and second moments of every pending measure.  This module times both
-kernels on two workloads and records the results as gauges, so
+first and second moments of every pending measure.  This module times it
+against the per-test gather, which survives as the test-side oracle
+``tests/oracles.legacy_kernel``, on two workloads and records the results
+as gauges, so
 ``--metrics-out`` emits a machine-readable ``BENCH_stats.json``:
 
 * **wide synthetic** — a balanced table with 12 measures, where every
@@ -33,8 +35,9 @@ is the whole point of the zero-copy plane and the quick test holds it at
 
 A fifth workload measures the multi-query optimizer: the same support
 stage on a wide-schema synthetic under the sqlite pushdown backend, per-set
-(``mqo=False``, one statement per group-by set) vs batched (``mqo=True``,
-UNION-ALL grouping-set statements).  Results are identical; the recorded
+(the ``tests/oracles.per_set_aggregates`` oracle, one statement per
+group-by set) vs batched (the production path, UNION-ALL grouping-set
+statements).  Results are identical; the recorded
 ``stmt_shrink`` ratio is the COMPARE-style statement collapse and the
 quick test holds it at >= 5x.
 
@@ -64,9 +67,12 @@ from __future__ import annotations
 import os
 import sys
 import time
+from contextlib import nullcontext
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
+# The repository root, for the parity oracles in tests/oracles.py.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 import numpy as np
 
@@ -81,6 +87,7 @@ from repro.parallel import ParallelConfig
 from repro.relational import table_from_arrays
 from repro.runtime import resilient_generate, resilient_render
 from repro.stats import derive_rng
+from tests.oracles import legacy_kernel, per_set_aggregates
 
 
 def wide_table(n_rows: int, n_measures: int, n_vals: int = 4):
@@ -101,15 +108,16 @@ def wide_table(n_rows: int, n_measures: int, n_vals: int = 4):
 
 
 def time_kernels(table, n_permutations: int) -> dict:
-    """Run the significance stage under both kernels; time and compare."""
+    """Run the significance stage on the kernel and its oracle; time and compare."""
     candidates = list(enumerate_candidates(table))
+    config = SignificanceConfig(n_permutations=n_permutations)
     timings: dict[str, float] = {}
     outputs: dict[str, list] = {}
     for kernel in ("legacy", "batched"):
-        config = SignificanceConfig(kernel=kernel, n_permutations=n_permutations)
-        start = time.perf_counter()
-        tested = run_significance_tests(table, candidates, config)
-        timings[kernel] = time.perf_counter() - start
+        with legacy_kernel() if kernel == "legacy" else nullcontext():
+            start = time.perf_counter()
+            tested = run_significance_tests(table, candidates, config)
+            timings[kernel] = time.perf_counter() - start
         outputs[kernel] = [
             (t.candidate.key, t.statistic, t.p_value, t.p_adjusted) for t in tested
         ]
@@ -143,13 +151,11 @@ def run_enedis(quick: bool) -> dict:
     obs.gauge("bench.stats.enedis_batched_seconds").set(result["batched_seconds"])
     obs.gauge("bench.stats.enedis_speedup").set(result["speedup"])
 
-    # End to end under the default (batched) kernel: generation + render on
-    # a fresh table, counting cross-stage aggregate-cache reuse.
+    # End to end on the production kernel: generation + render on a fresh
+    # table, counting cross-stage aggregate-cache reuse.
     fresh = enedis_table(0.05 if quick else 0.15)
     config = GenerationConfig(
-        significance=SignificanceConfig(
-            kernel="batched", n_permutations=100 if quick else 200
-        )
+        significance=SignificanceConfig(n_permutations=100 if quick else 200)
     )
     with obs.capture() as (_, metrics):
         run = resilient_generate(fresh, config, budget=6, solver="heuristic")
@@ -271,7 +277,8 @@ def run_mqo(quick: bool) -> dict:
 
     Wide-schema synthetic (many categorical attributes, so the set-cover
     evaluator's chosen cover is dozens of group-by sets) through the
-    resilient pipeline on the sqlite pushdown backend, ``mqo`` off vs on.
+    resilient pipeline on the sqlite pushdown backend, per-set oracle vs
+    production.
     The supported queries and scores must match exactly; the recorded
     ``stmt_shrink`` is the whole point of the UNION-ALL grouping-set
     compiler — one compound statement where the per-set path sends one
@@ -299,9 +306,8 @@ def run_mqo(quick: bool) -> dict:
             significance=SignificanceConfig(n_permutations=100 if quick else 200),
             backend="sqlite",
             evaluator="setcover",
-            mqo=mqo,
         )
-        with obs.capture():
+        with obs.capture(), nullcontext() if mqo else per_set_aggregates():
             start = time.perf_counter()
             run = resilient_generate(table, config, budget=6, solver="heuristic")
             seconds[mqo] = time.perf_counter() - start

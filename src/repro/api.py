@@ -177,8 +177,7 @@ class Session:
         stats and support stages of every run; ``None`` when the config
         never uses a subprocess pool.
         """
-        parallel = self.config.parallel
-        if not parallel.active or parallel.backend != "processes":
+        if not self.config.parallel.active:
             return None
         if self._fleet is None or self._fleet.closed:
             from repro.parallel import WorkerFleet

@@ -12,13 +12,11 @@ from __future__ import annotations
 from repro.backend.base import (
     BACKEND_ENV_VAR,
     BACKEND_NAMES,
-    MQO_ENV_VAR,
     AggregateRequest,
     BackendCapabilities,
     BackendError,
     ExecutionBackend,
     default_backend_name,
-    default_mqo,
     materialize_batch,
     source_table,
 )
@@ -29,7 +27,6 @@ from repro.relational.table import Table
 __all__ = [
     "BACKEND_ENV_VAR",
     "BACKEND_NAMES",
-    "MQO_ENV_VAR",
     "AggregateRequest",
     "BackendCapabilities",
     "BackendError",
@@ -39,7 +36,6 @@ __all__ = [
     "as_backend",
     "create_backend",
     "default_backend_name",
-    "default_mqo",
     "incremental_backend_names",
     "materialize_batch",
     "source_table",

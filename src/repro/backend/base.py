@@ -53,9 +53,6 @@ BACKEND_NAMES: tuple[str, ...] = ("columnar", "sqlite")
 #: Environment variable holding the default backend name (CI matrix hook).
 BACKEND_ENV_VAR = "REPRO_BACKEND"
 
-#: Environment variable toggling multi-query optimization (CI matrix hook).
-MQO_ENV_VAR = "REPRO_MQO"
-
 
 class BackendError(ReproError):
     """An execution backend was misconfigured or failed mid-statement."""
@@ -75,32 +72,6 @@ def default_backend_name() -> str:
             f"{BACKEND_ENV_VAR}={name!r} names no known backend; known: {BACKEND_NAMES}"
         )
     return name
-
-
-def parse_mqo_flag(raw: str | None) -> bool:
-    """Parse a ``REPRO_MQO``-style boolean (empty/None means on).
-
-    Invalid values raise rather than silently running the wrong plan.
-    """
-    raw = (raw or "").strip().lower()
-    if not raw:
-        return True
-    if raw in ("1", "true", "on", "yes"):
-        return True
-    if raw in ("0", "false", "off", "no"):
-        return False
-    raise BackendError(f"{MQO_ENV_VAR}={raw!r} is not a boolean flag (use 0 or 1)")
-
-
-def default_mqo() -> bool:
-    """The process-wide multi-query-optimization default.
-
-    ``$REPRO_MQO`` (the CI matrix hook) turns batched aggregate
-    compilation off with ``0`` and on with ``1``; unset means on — the
-    batched planner is the production path and the per-set path is the
-    parity oracle.
-    """
-    return parse_mqo_flag(os.environ.get(MQO_ENV_VAR))
 
 
 @dataclass(frozen=True, slots=True)

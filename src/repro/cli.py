@@ -5,7 +5,7 @@ Usage::
     python -m repro generate data.csv --budget 10 --out notebook.ipynb
     python -m repro generate data.csv --preset wsc-unb-approx --sample-rate 0.2
     python -m repro generate data.csv --backend sqlite
-    python -m repro generate data.csv --stats-kernel legacy
+    python -m repro generate data.csv --workers 2
     python -m repro generate data.csv --deadline 5 --checkpoint run.ckpt.json
     python -m repro generate data.csv --resume run.ckpt.json --out notebook.ipynb
     python -m repro generate grown.csv --checkpoint run.ckpt.json --since-checkpoint
@@ -64,8 +64,7 @@ from repro import __version__, obs
 from repro.api import Session
 from repro.backend import BACKEND_NAMES
 from repro.config import ReproConfig
-from repro.parallel import PARALLEL_BACKEND_NAMES, STORE_NAMES
-from repro.stats import KERNEL_NAMES
+from repro.parallel import STORE_NAMES
 from repro.datasets import covid_table, enedis_table, flights_table, vaccine_table
 from repro.errors import ReproError
 from repro.generation import preset, preset_names
@@ -109,8 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="TAP solver (default from preset, else heuristic)")
 
     # One home for every execution knob; the CI matrix drives the same
-    # four dimensions through $REPRO_BACKEND / $REPRO_STATS_KERNEL /
-    # $REPRO_WORKERS.  None of them ever changes results — only speed.
+    # dimensions through $REPRO_BACKEND / $REPRO_WORKERS / $REPRO_SHM.
+    # None of them ever changes results — only speed.
     execution = gen.add_argument_group(
         "execution",
         "how the pipeline runs (results are identical for every choice)")
@@ -118,20 +117,11 @@ def build_parser() -> argparse.ArgumentParser:
                            help="execution backend for scans and group-bys: "
                                 "columnar (in-process NumPy, default) or sqlite "
                                 "(SQL pushdown); default honours $REPRO_BACKEND")
-    execution.add_argument("--stats-kernel", choices=KERNEL_NAMES, default=None,
-                           help="permutation-test kernel: batched (one BLAS "
-                                "product per shared batch, default) or legacy "
-                                "(per-test gather); default honours "
-                                "$REPRO_STATS_KERNEL")
     execution.add_argument("--workers", type=int, default=None,
                            help="worker count for the statistics and "
                                 "hypothesis-evaluation stages (default "
-                                "honours $REPRO_WORKERS, else 1 = in-process)")
-    execution.add_argument("--parallel-backend", choices=PARALLEL_BACKEND_NAMES,
-                           default=None,
-                           help="pool flavour when --workers > 1: processes "
-                                "(sharded subprocess pool, default) or threads "
-                                "(shared-memory, GIL-bound)")
+                                "honours $REPRO_WORKERS, else 1 = in-process; "
+                                "more runs a subprocess pool)")
     execution.add_argument("--store", choices=STORE_NAMES, default=None,
                            help="column-store data plane for worker processes: "
                                 "shm (zero-copy shared memory), heap "
@@ -144,10 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 "prefix of this CSV, re-testing only the pair "
                                 "families the appended rows touched (the "
                                 "notebook is byte-identical to a full run)")
-    # Hidden alias: the pre-5.x spelling of --workers keeps working, but
-    # now warns once per process (see repro.deprecation).
-    execution.add_argument("--threads", type=int, default=None,
-                           dest="legacy_threads", help=argparse.SUPPRESS)
     gen.add_argument("--deadline", type=float, default=None, metavar="SECONDS",
                      help="wall-clock budget; stages degrade instead of overrunning")
     gen.add_argument("--checkpoint", type=Path, default=None, metavar="PATH",
@@ -181,12 +167,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="worker count (default honours $REPRO_WORKERS)")
     prof.add_argument("--store", choices=STORE_NAMES, default=None,
                       help="column-store data plane (auto, heap, or shm)")
-    prof.add_argument("--threads", type=int, default=None, dest="legacy_threads",
-                      help=argparse.SUPPRESS)
     prof.add_argument("--backend", choices=BACKEND_NAMES, default=None,
                       help="execution backend (columnar or sqlite)")
-    prof.add_argument("--stats-kernel", choices=KERNEL_NAMES, default=None,
-                      help="permutation-test kernel (batched or legacy)")
     prof.add_argument("--trace", type=Path, default=None, metavar="PATH",
                       help="write Chrome trace-event JSON (chrome://tracing, Perfetto)")
     prof.add_argument("--metrics-out", type=Path, default=None, metavar="PATH",
@@ -289,34 +271,14 @@ def _configure_logging(verbose: bool, quiet: bool) -> None:
 def _config_from_args(args: argparse.Namespace) -> ReproConfig:
     """One :class:`ReproConfig` from the shared generate/profile flags."""
     if getattr(args, "preset", None):
-        generator = preset(args.preset, sample_rate=args.sample_rate)
-        config = ReproConfig(
-            generation=generator.config,
-            solver=generator.solver,
-            exact_timeout=generator.exact_timeout,
-        )
+        config = preset(args.preset, sample_rate=args.sample_rate)
     else:
         config = ReproConfig().with_significance(n_permutations=args.permutations)
     if getattr(args, "backend", None):
         config = config.with_generation(backend=args.backend)
-    if getattr(args, "stats_kernel", None):
-        config = config.with_significance(kernel=args.stats_kernel)
-    workers = getattr(args, "workers", None)
-    legacy_threads = getattr(args, "legacy_threads", None)
-    if legacy_threads is not None:
-        from repro.deprecation import warn_once
-
-        warn_once(
-            "cli--threads",
-            "--threads is deprecated and will be removed; use --workers",
-        )
-        if not workers:
-            workers = legacy_threads
     parallel_changes = {}
-    if workers:
-        parallel_changes["workers"] = workers
-    if getattr(args, "parallel_backend", None):
-        parallel_changes["backend"] = args.parallel_backend
+    if getattr(args, "workers", None):
+        parallel_changes["workers"] = args.workers
     if getattr(args, "store", None):
         parallel_changes["store"] = args.store
     if parallel_changes:

@@ -2,9 +2,10 @@
 
 Small helpers shared by the benchmark scripts: a stopwatch, repeated-run
 aggregation, and a one-call "run preset on dataset, return timings +
-counters" driver.  :func:`run_preset` measures through the
-:mod:`repro.obs` span clock, so its wall time lines up with the span
-tree the same run records.
+counters" driver.  :func:`run_preset` runs a preset's
+:class:`~repro.config.ReproConfig` through :class:`repro.Session` and
+measures through the :mod:`repro.obs` span clock, so its wall time lines
+up with the span tree the same run records.
 """
 
 from __future__ import annotations
@@ -15,7 +16,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 from repro import obs
-from repro.generation.pipeline import NotebookGenerator, NotebookRun
+from repro.api import Session
+from repro.config import ReproConfig
+from repro.generation.pipeline import NotebookRun
 from repro.relational.table import Table
 
 
@@ -63,16 +66,25 @@ class PresetRun:
 
 
 def run_preset(
-    generator: NotebookGenerator,
+    config: ReproConfig,
     table: Table,
     preset_name: str,
     budget: float,
     epsilon_distance: float | None = None,
     progress: Callable[[str], None] | None = None,
 ) -> PresetRun:
-    """Execute one configured generator end-to-end and time it."""
+    """Execute one configuration end-to-end and time it.
+
+    ``config`` is usually :func:`repro.generation.preset` output.  The
+    run's spans land in the ambient tracer, under ``bench.preset``.
+    """
     with obs.span("bench.preset", preset=preset_name, rows=table.n_rows) as sp:
-        run = generator.generate(
-            table, budget=budget, epsilon_distance=epsilon_distance, progress=progress
-        )
+        with Session(table, config=config) as session:
+            run = session.generate(
+                budget=budget,
+                epsilon_distance=epsilon_distance,
+                progress=progress,
+                tracer=obs.current_tracer(),
+                metrics=obs.current_metrics(),
+            )
     return PresetRun(preset_name, run, sp.duration)

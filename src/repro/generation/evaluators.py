@@ -29,8 +29,9 @@ whole chosen cover, both routed through
 compiles them into one (or few) engine statements.  ``queries_sent``
 still counts *group-by sets materialized* — the logical demand — so it is
 invariant under batching; only the backend's ``statements_executed``
-collapses.  ``mqo=False`` (or ``REPRO_MQO=0``) restores the per-set path
-as a parity oracle.
+collapses.  Whether a batch becomes one statement or one per set is the
+backend's decision (``capabilities.batched_aggregates``), never the
+evaluator's.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from repro.backend.base import (
     AggregateRequest,
     BackendError,
     ExecutionBackend,
-    default_mqo,
     materialize_batch,
 )
 from repro.queries.comparison import ComparisonQuery
@@ -117,12 +117,11 @@ class PairwiseEvaluator:
     the classic behavior.
     """
 
-    def __init__(self, source: "Table | ExecutionBackend", mqo: bool | None = None):
+    def __init__(self, source: "Table | ExecutionBackend"):
         self._backend = as_backend(source)
-        self._mqo = default_mqo() if mqo is None else mqo
         self._cache = PartialAggregateCache()
         self._building: dict[frozenset[str], threading.Event] = {}
-        self._lock = threading.Lock()  # the support phase may be threaded
+        self._lock = threading.Lock()  # evaluate() is safe to call concurrently
         self.queries_sent = 0
 
     def plan(self, pairs: Iterable[Iterable[str]]) -> None:
@@ -131,11 +130,8 @@ class PairwiseEvaluator:
         Pairs already covered (or being built by a concurrent thread) are
         skipped; the rest are reserved under the lock and compiled as one
         batch, so on a batched backend the whole work unit costs one
-        statement.  With ``mqo`` off this is a no-op and :meth:`evaluate`
-        materializes lazily as before.
+        statement.
         """
-        if not self._mqo:
-            return
         with self._lock:
             todo: list[frozenset[str]] = []
             for pair in pairs:
@@ -216,7 +212,7 @@ class SetCoverEvaluator:
     bounded by ``max_set_size`` / ``max_candidates`` (see
     :data:`DEFAULT_MAX_SET_SIZE`) so wide schemas stay polynomial; the
     chosen cover — known in full up front — is materialized as one batch
-    through the backend's multi-query compiler unless ``mqo`` is off.
+    through the backend's multi-query compiler.
     """
 
     def __init__(
@@ -224,12 +220,10 @@ class SetCoverEvaluator:
         source: "Table | ExecutionBackend",
         attributes: Sequence[str] | None = None,
         memory_budget_bytes: int | None = None,
-        mqo: bool | None = None,
         max_set_size: int = DEFAULT_MAX_SET_SIZE,
         max_candidates: int = DEFAULT_MAX_CANDIDATES,
     ):
         self._backend = as_backend(source)
-        mqo = default_mqo() if mqo is None else mqo
         table = self._backend.table
         names = list(attributes or table.schema.categorical_names)
         universe = pair_group_by_sets(names)
@@ -244,13 +238,7 @@ class SetCoverEvaluator:
         self._cache = PartialAggregateCache()
         self.queries_sent = 0
         requests = [AggregateRequest.of(sorted(g)) for g in chosen]
-        if mqo:
-            aggregates = materialize_batch(self._backend, requests)
-        else:
-            aggregates = [
-                self._backend.materialize_aggregate(r.attributes) for r in requests
-            ]
-        for aggregate in aggregates:
+        for aggregate in materialize_batch(self._backend, requests):
             self._cache.add(aggregate)
             self.queries_sent += 1
 
@@ -292,19 +280,12 @@ def build_evaluator(
     source: "Table | ExecutionBackend",
     kind: str,
     memory_budget_bytes: int | None = None,
-    mqo: bool | None = None,
 ) -> SupportEvaluator:
-    """Factory keyed by :class:`GenerationConfig.evaluator`.
-
-    ``mqo`` toggles batched multi-aggregate compilation for the bounded
-    strategies (``None`` defers to ``$REPRO_MQO``, default on).
-    """
+    """Factory keyed by :class:`GenerationConfig.evaluator`."""
     if kind == "naive":
         return NaiveEvaluator(source)
     if kind == "pairwise":
-        return PairwiseEvaluator(source, mqo=mqo)
+        return PairwiseEvaluator(source)
     if kind == "setcover":
-        return SetCoverEvaluator(
-            source, memory_budget_bytes=memory_budget_bytes, mqo=mqo
-        )
+        return SetCoverEvaluator(source, memory_budget_bytes=memory_budget_bytes)
     raise ValueError(f"unknown evaluator kind {kind!r}")

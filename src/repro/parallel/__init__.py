@@ -9,7 +9,6 @@ model and failure semantics are documented in ``docs/parallelism.md``.
 """
 
 from repro.parallel.config import (
-    PARALLEL_BACKEND_NAMES,
     SHM_ENV_VAR,
     STORE_NAMES,
     WORKERS_ENV_VAR,
@@ -27,7 +26,6 @@ from repro.parallel.shards import (
 )
 
 __all__ = [
-    "PARALLEL_BACKEND_NAMES",
     "SHM_ENV_VAR",
     "STORE_NAMES",
     "WORKERS_ENV_VAR",

@@ -22,9 +22,14 @@ A :class:`WorkerFleet` decouples worker lifetime from stage lifetime:
   reuses attached segments, backend connections, and aggregate caches
   instead of rebuilding them;
 * **exact byte accounting** — every message is pickled *by this module*
-  and crosses the queues as raw bytes, so ``parallel.ipc_bytes`` counts
+  and crosses the wire as raw bytes, so ``parallel.ipc_bytes`` counts
   precisely what the data plane pays.  This is the counter the
-  data-plane benchmark asserts its ≥10x shrink against.
+  data-plane benchmark asserts its ≥10x shrink against;
+* **crash containment** — each worker owns its task queue and its result
+  pipe, and writes results synchronously (no feeder thread, no lock shared
+  with other workers).  A worker that dies at any instant — OOM killer,
+  native fault, mid-write — can only break its own channels, which the
+  parent discards with it; it cannot wedge the survivors.
 
 The fleet is deliberately generic: it knows nothing about tables or
 handles.  Zero-copy comes from what the *payloads* are — a
@@ -38,10 +43,11 @@ import logging
 import multiprocessing as mp
 import os
 import pickle
-import queue as queue_mod
+import time
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
+from multiprocessing.connection import wait
 from typing import Any, Callable, Iterator
 
 from repro import obs
@@ -64,8 +70,12 @@ _INJECTED_EXIT = 17
 _STATE_CACHE_SIZE = 4
 
 
-def _maybe_injected_worker_kill(guard_dir: str | None,
-                                result_queue=None) -> None:
+#: Seconds :meth:`WorkerFleet.close` grants each worker to exit on its own
+#: before terminating it.
+_CLOSE_GRACE_SECONDS = 2.0
+
+
+def _maybe_injected_worker_kill(guard_dir: str | None) -> None:
     """Honor ``REPRO_FAULTS=parallel.worker:kill[:xN]`` inside a worker.
 
     The guard directory is the cross-process fault budget: each planned
@@ -73,19 +83,7 @@ def _maybe_injected_worker_kill(guard_dir: str | None,
     N planned kills crash exactly N task attempts across the whole fleet
     — replacement workers and requeued shards included — regardless of
     which worker dequeues them.
-
-    The result queue is drained before dying: its feeder thread writes
-    under a lock shared with every other worker, and ``os._exit`` while
-    that lock is held would poison it fleet-wide.  A planned kill models
-    a crash *between* tasks, so flushing first keeps the simulated
-    failure inside the scheduler's recovery contract.
     """
-
-    def _exit() -> None:
-        if result_queue is not None:
-            result_queue.close()
-            result_queue.join_thread()
-        os._exit(_INJECTED_EXIT)
     plan = os.environ.get("REPRO_FAULTS", "")
     if "parallel.worker" not in plan or guard_dir is None:
         return
@@ -95,7 +93,7 @@ def _maybe_injected_worker_kill(guard_dir: str | None,
         if spec.stage != "parallel.worker" or spec.action != "kill":
             continue
         if spec.times is None:
-            _exit()
+            os._exit(_INJECTED_EXIT)
         for shot in range(spec.times):
             try:
                 fd = os.open(os.path.join(guard_dir, f"kill-{shot}"),
@@ -103,7 +101,7 @@ def _maybe_injected_worker_kill(guard_dir: str | None,
             except FileExistsError:
                 continue
             os.close(fd)
-            _exit()
+            os._exit(_INJECTED_EXIT)
 
 
 @dataclass(slots=True)
@@ -162,7 +160,7 @@ class _Stage:
         self.fault_guard = fault_guard
 
 
-def _fleet_worker_main(worker_id: int, task_queue, result_queue,
+def _fleet_worker_main(worker_id: int, task_queue, results,
                        cancel_value) -> None:
     """Worker loop: serve stage setups and task blocks until ``None``.
 
@@ -186,7 +184,7 @@ def _fleet_worker_main(worker_id: int, task_queue, result_queue,
     states: dict[bytes, tuple[Any, Any]] = {}
 
     def ship(message: tuple) -> None:
-        result_queue.put(pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL))
+        results.send_bytes(pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL))
 
     try:
         while True:
@@ -256,7 +254,7 @@ def _fleet_worker_main(worker_id: int, task_queue, result_queue,
                     continue  # stale dispatch from a cancelled stage
                 outputs = []
                 for task_id, payload in entries:
-                    _maybe_injected_worker_kill(stage.fault_guard, result_queue)
+                    _maybe_injected_worker_kill(stage.fault_guard)
                     with obs.capture() as (tracer, metrics):
                         try:
                             value = stage.task_fn(stage.context, payload)
@@ -270,15 +268,35 @@ def _fleet_worker_main(worker_id: int, task_queue, result_queue,
                     if not ok:
                         break
                 ship(("results", worker_id, epoch, block_index, outputs))
+    except BrokenPipeError:
+        pass  # the parent closed our result pipe: nobody is listening
     finally:
         for _, state in states.values():
             _close_state(state)
 
 
+class _Worker:
+    """The parent's handles on one worker process."""
+
+    __slots__ = ("process", "tasks", "results")
+
+    def __init__(self, process, tasks, results):
+        self.process = process
+        self.tasks = tasks
+        #: Read end of the worker's result pipe; ``None`` once the worker
+        #: is known dead (whatever it left unread is discarded with it).
+        self.results = results
+
+    def drop_results(self) -> None:
+        if self.results is not None:
+            self.results.close()
+            self.results = None
+
+
 class WorkerFleet:
     """A set of subprocess workers that outlives any single stage.
 
-    The fleet owns the processes, their queues, and the shared
+    The fleet owns the processes, their channels, and the shared
     cancellation watermark; :class:`~repro.parallel.pool._Scheduler`
     borrows workers per stage via :meth:`ensure` and talks to them
     through :meth:`send`/:meth:`recv`, which count every byte into
@@ -288,9 +306,10 @@ class WorkerFleet:
 
     def __init__(self, context: mp.context.BaseContext | None = None):
         self._ctx = context or _pool_context()
-        self._results = self._ctx.Queue()
-        self._cancel = self._ctx.Value("l", 0)
-        self._workers: dict[int, tuple] = {}  # id -> (process, task_queue)
+        # Lock-free on purpose: the parent is the only writer, and a lock
+        # shared with the workers is one a dying worker could leave held.
+        self._cancel = self._ctx.Value("l", 0, lock=False)
+        self._workers: dict[int, _Worker] = {}
         self._next_worker_id = 0
         self._epoch = 0
         self.closed = False
@@ -303,9 +322,8 @@ class WorkerFleet:
 
     def cancel(self, epoch: int) -> None:
         """Cancel every stage at or below ``epoch`` (monotonic watermark)."""
-        with self._cancel.get_lock():
-            if self._cancel.value < epoch:
-                self._cancel.value = epoch
+        if self._cancel.value < epoch:
+            self._cancel.value = epoch
 
     # -- worker lifecycle ----------------------------------------------------
 
@@ -314,14 +332,18 @@ class WorkerFleet:
         worker_id = self._next_worker_id
         self._next_worker_id += 1
         task_queue = self._ctx.SimpleQueue()
+        reader, writer = self._ctx.Pipe(duplex=False)
         process = self._ctx.Process(
             target=_fleet_worker_main,
-            args=(worker_id, task_queue, self._results, self._cancel),
+            args=(worker_id, task_queue, writer, self._cancel),
             daemon=True,
             name=f"repro-fleet-{worker_id}",
         )
         process.start()
-        self._workers[worker_id] = (process, task_queue)
+        # The worker now holds the write end; dropping ours lets its death
+        # read as end-of-file.
+        writer.close()
+        self._workers[worker_id] = _Worker(process, task_queue, reader)
         obs.counter("parallel.worker_spawns").inc()
         return worker_id
 
@@ -331,21 +353,22 @@ class WorkerFleet:
         This is the amortization point: a fleet that already served a
         stage hands back its warm workers instead of forking new ones.
         """
-        for worker_id in [wid for wid, (process, _) in self._workers.items()
-                          if not process.is_alive()]:
+        for worker_id in [wid for wid, worker in self._workers.items()
+                          if not worker.process.is_alive()]:
             self.discard(worker_id)
         while len(self._workers) < count:
             self.spawn()
         return sorted(self._workers)[:count]
 
     def alive(self, worker_id: int) -> bool:
-        entry = self._workers.get(worker_id)
-        return entry is not None and entry[0].is_alive()
+        worker = self._workers.get(worker_id)
+        return worker is not None and worker.process.is_alive()
 
     def discard(self, worker_id: int):
         """Forget a (dead) worker; returns its exit code for diagnostics."""
-        process, _ = self._workers.pop(worker_id)
-        return process.exitcode
+        worker = self._workers.pop(worker_id)
+        worker.drop_results()
+        return worker.process.exitcode
 
     def refresh(self) -> None:
         """Tell every live worker to drop its warm stage states.
@@ -359,8 +382,8 @@ class WorkerFleet:
         """
         if self.closed:
             return
-        for worker_id, (process, _) in list(self._workers.items()):
-            if process.is_alive():
+        for worker_id, worker in list(self._workers.items()):
+            if worker.process.is_alive():
                 self.send(worker_id, ("drop_states",))
         obs.counter("parallel.fleet_refreshes").inc()
 
@@ -369,16 +392,35 @@ class WorkerFleet:
     def send(self, worker_id: int, message: tuple) -> None:
         raw = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
         obs.counter("parallel.ipc_bytes").inc(len(raw))
-        self._workers[worker_id][1].put(raw)
+        self._workers[worker_id].tasks.put(raw)
 
     def recv(self, timeout: float):
-        """Next worker message, or ``None`` on timeout."""
-        try:
-            raw = self._results.get(timeout=timeout)
-        except queue_mod.Empty:
-            return None
-        obs.counter("parallel.ipc_bytes").inc(len(raw))
-        return pickle.loads(raw)
+        """Next worker message, or ``None`` on timeout or a worker's death.
+
+        Waits on every live worker's result pipe *and* process sentinel, so
+        a death wakes the caller at once instead of after ``timeout``.  A
+        dead worker's unread messages are discarded: its in-flight block
+        is still outstanding and the scheduler re-queues it.
+        """
+        channels = {w.results: w for w in self._workers.values()
+                    if w.results is not None}
+        sentinels = {w.process.sentinel: w for w in channels.values()}
+        ready = wait([*channels, *sentinels], timeout)
+        for handle in ready:
+            if handle in sentinels:
+                sentinels[handle].drop_results()
+        for handle in ready:
+            worker = channels.get(handle)
+            if worker is None or worker.results is None:
+                continue
+            try:
+                raw = worker.results.recv_bytes()
+            except (EOFError, OSError):
+                worker.drop_results()
+                continue
+            obs.counter("parallel.ipc_bytes").inc(len(raw))
+            return pickle.loads(raw)
+        return None
 
     # -- teardown ------------------------------------------------------------
 
@@ -387,16 +429,13 @@ class WorkerFleet:
         if self.closed:
             return
         self.closed = True
-        for _, task_queue in self._workers.values():
+        for worker in self._workers.values():
             try:
-                task_queue.put(None)
+                worker.tasks.put(None)
             except (OSError, ValueError):  # pragma: no cover - dying worker
                 pass
-        for process, _ in self._workers.values():
-            process.join(timeout=2.0)
-            if process.is_alive():  # pragma: no cover - stuck worker
-                process.terminate()
-                process.join(timeout=1.0)
+        for worker in self._workers.values():
+            _join_draining(worker)
         self._workers.clear()
 
     def __enter__(self) -> "WorkerFleet":
@@ -404,6 +443,30 @@ class WorkerFleet:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+def _join_draining(worker: _Worker) -> None:
+    """Wait for a stopping worker, discarding results nobody will read.
+
+    A worker blocked writing a stale result (one larger than the pipe
+    buffer) would otherwise never reach the stop message.
+    """
+    deadline = time.monotonic() + _CLOSE_GRACE_SECONDS
+    while worker.process.is_alive():
+        remaining = deadline - time.monotonic()
+        if remaining <= 0:  # pragma: no cover - stuck worker
+            worker.process.terminate()
+            worker.process.join(timeout=1.0)
+            break
+        handles = [worker.process.sentinel]
+        if worker.results is not None:
+            handles.append(worker.results)
+        if worker.results in wait(handles, remaining):
+            try:
+                worker.results.recv_bytes()
+            except (EOFError, OSError):
+                worker.drop_results()
+    worker.drop_results()
 
 
 #: The ambient fleet, installed by ``api.Session`` around each run.  Like

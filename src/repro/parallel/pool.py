@@ -73,8 +73,9 @@ logger = logging.getLogger(__name__)
 
 __all__ = ["ShardPool", "WorkerContext", "WorkerCrashed"]
 
-#: Seconds the scheduler waits on the result queue before checking worker
-#: liveness and the deadline.
+#: Seconds the scheduler waits for a worker message before re-checking the
+#: deadline and handing stranded blocks to idle workers.  A worker's death
+#: wakes it at once.
 _POLL_SECONDS = 0.1
 
 #: Backoff curve for replacing crashed workers.  A worker that dies the

@@ -5,7 +5,7 @@ hypothesis evaluation); solving the TAP and rendering notebooks are cheap.
 Persisting a run lets a user re-cut notebooks — different budgets ε_t,
 distance bounds ε_d, or solvers — without re-testing:
 
-    run = NotebookGenerator().generate(table, budget=10)
+    run = repro.generate_notebook(table, config=repro.ReproConfig(budget=10))
     save_run(run, "enedis_run.json")
     ...
     outcome = load_outcome("enedis_run.json")
@@ -324,9 +324,10 @@ def stats_config_token(config: GenerationConfig, n_rows: int) -> str:
             "apply_bh": significance.apply_bh,
             "share_across_pairs": significance.share_across_pairs,
             "seed": significance.seed,
-            "kernel": significance.kernel,
+            # Constant since only one kernel exists: keeps earlier tokens valid.
+            "kernel": "batched",
         },
-        "chunk_size": config.effective_parallel().chunk_size,
+        "chunk_size": config.parallel.chunk_size,
     }
     digest = hashlib.blake2s(
         json.dumps(payload, sort_keys=True).encode("utf-8"), digest_size=8

@@ -403,8 +403,9 @@ def resilient_generate(
 ) -> NotebookRun:
     """End-to-end generation that *always* returns a valid NotebookRun.
 
-    Parameters mirror :class:`~repro.generation.pipeline.NotebookGenerator`
-    plus the runtime controls: ``deadline_seconds`` (shared wall clock),
+    ``config`` and the TAP settings (``budget`` through
+    ``max_exact_queries``) mirror :class:`~repro.config.ReproConfig`; the
+    rest are the runtime controls: ``deadline_seconds`` (shared wall clock),
     ``faults`` (deterministic fault injection), ``checkpoint_path`` (write
     stage snapshots there after the stats and generation stages), and
     ``resume`` (a :class:`~repro.persistence.RunCheckpoint` to restart
@@ -428,12 +429,9 @@ def resilient_generate(
     config = config or GenerationConfig()
     faults = faults or FaultInjector.none()
     deadline = Deadline(policy.deadline_seconds)
-    parallel = config.effective_parallel()
     report = RunReport(deadline_seconds=policy.deadline_seconds,
                        backend=config.backend,
-                       stats_kernel=config.significance.kernel,
-                       workers=parallel.workers,
-                       mqo=config.mqo)
+                       workers=config.parallel.workers)
     if epsilon_distance is None:
         epsilon_distance = DEFAULT_EPSILON_PER_QUERY * max(1.0, budget - 1.0)
 
@@ -498,8 +496,7 @@ def resilient_generate(
                 # skips them.  A config token guards against resuming shards
                 # produced under different test settings.
                 shard_store = None
-                if (checkpoint_path is not None and parallel.active
-                        and parallel.backend == "processes"):
+                if checkpoint_path is not None and config.parallel.active:
                     from repro.persistence import (
                         PersistentShardStore,
                         stats_config_token,

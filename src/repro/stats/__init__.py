@@ -1,13 +1,7 @@
 """Statistics substrate: permutation tests, FDR correction, sampling."""
 
 from repro.stats.corrections import benjamini_hochberg, bh_reject, bonferroni
-from repro.stats.kernel import (
-    KERNEL_NAMES,
-    STATS_KERNEL_ENV_VAR,
-    KernelTest,
-    default_stats_kernel,
-    run_batched_tests,
-)
+from repro.stats.kernel import KernelTest, run_batched_tests
 from repro.stats.parametric import f_variance_greater, levene_variance_greater, welch_mean_greater
 from repro.stats.permutation import (
     DEFAULT_PERMUTATIONS,
@@ -36,16 +30,13 @@ from repro.stats.sampling import (
 __all__ = [
     "DEFAULT_PERMUTATIONS",
     "DEFAULT_SEED",
-    "KERNEL_NAMES",
     "KernelTest",
-    "STATS_KERNEL_ENV_VAR",
     "SharedPermutations",
     "TestResult",
     "benjamini_hochberg",
     "bh_reject",
     "bonferroni",
     "center_pooled",
-    "default_stats_kernel",
     "derive_rng",
     "derive_seed",
     "f_variance_greater",

@@ -83,7 +83,8 @@ def incremental_config_token(config) -> str:
             "apply_bh": significance.apply_bh,
             "share_across_pairs": significance.share_across_pairs,
             "seed": significance.seed,
-            "kernel": significance.kernel,
+            # Constant since only one kernel exists: keeps earlier tokens valid.
+            "kernel": "batched",
         },
     }
     digest = hashlib.blake2s(

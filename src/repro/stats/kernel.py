@@ -1,9 +1,9 @@
-"""The batched permutation-test kernel (mask-GEMM moment sums).
+"""The permutation-test kernel (mask-GEMM moment sums).
 
-The legacy hot path evaluates each candidate insight with its own
-fancy-indexed gather over the pooled sample — O(P·n) work *per test*, with
-large intermediate ``(P, n)`` gather matrices.  This module restructures
-the computation so one pass serves every test of a shared batch:
+A per-test permutation test gathers the pooled sample through every
+permutation — O(P·n) work *per test*, with large intermediate ``(P, n)``
+gather matrices.  This kernel restructures the computation so one pass
+serves every test of a shared batch:
 
 1. A :class:`~repro.stats.permutation.SharedPermutations` batch is turned
    into its ``(P, n)`` float64 X-membership mask **once**
@@ -19,7 +19,7 @@ the computation so one pass serves every test of a shared batch:
    gathered.
 4. Per-test statistics then fall out of cheap vectorized arithmetic via
    each insight type's ``statistic_from_moments`` hook, sharing the exact
-   floating-point formulas with the legacy kernel
+   floating-point formulas with the per-test gather path
    (:func:`~repro.stats.permutation.mean_stat_from_moments`,
    :func:`~repro.stats.permutation.variance_stat_from_moments`).
 
@@ -28,22 +28,19 @@ extension type) cannot be expressed as moment sums; the kernel transparently
 falls back to their per-test ``test`` method on the same batch, so mixing
 batchable and non-batchable types stays correct.
 
-Selection between kernels is a config/CLI switch
-(``SignificanceConfig.kernel`` / ``--stats-kernel``) defaulting from the
-``REPRO_STATS_KERNEL`` environment variable — the CI matrix hook enforcing
-p-value parity continuously, mirroring ``REPRO_BACKEND``.
+This is the only production kernel.  The per-test gather path it replaced
+lives on as a test-side oracle (``tests/oracles.py``), and the parity
+suites compare the two test for test.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from repro import obs
-from repro.errors import StatisticsError
 from repro.stats.permutation import (
     SharedPermutations,
     TestResult,
@@ -51,41 +48,12 @@ from repro.stats.permutation import (
     center_pooled,
 )
 
-__all__ = [
-    "KERNEL_NAMES",
-    "STATS_KERNEL_ENV_VAR",
-    "KernelTest",
-    "default_stats_kernel",
-    "run_batched_tests",
-]
-
-#: Names of the permutation-test kernels, default first.
-KERNEL_NAMES: tuple[str, ...] = ("batched", "legacy")
-
-#: Environment variable holding the default kernel name (CI matrix hook).
-STATS_KERNEL_ENV_VAR = "REPRO_STATS_KERNEL"
+__all__ = ["KernelTest", "run_batched_tests"]
 
 #: Cap on stacked moment rows per GEMM call: bounds the ``(R, n)`` stack and
 #: the ``(R, P)`` product so huge pair-families stream through in slices
 #: instead of materializing one enormous product.
 MAX_STACK_ROWS = 256
-
-
-def default_stats_kernel() -> str:
-    """The process-wide default kernel: ``$REPRO_STATS_KERNEL`` or batched.
-
-    An invalid environment value raises immediately rather than silently
-    testing with the wrong kernel (the CI parity matrix relies on this).
-    """
-    name = os.environ.get(STATS_KERNEL_ENV_VAR, "").strip().lower()
-    if not name:
-        return KERNEL_NAMES[0]
-    if name not in KERNEL_NAMES:
-        raise StatisticsError(
-            f"{STATS_KERNEL_ENV_VAR}={name!r} names no known stats kernel; "
-            f"known: {KERNEL_NAMES}"
-        )
-    return name
 
 
 @dataclass(slots=True)
@@ -176,8 +144,8 @@ def _execute_chunk(
     cursor = 0
     for planned in chunk:
         offsets.append(cursor)
-        # Same centering expression as the legacy kernel, so both sum the
-        # bitwise-identical moment rows (see center_pooled).
+        # Same centering expression as the per-test gather path, so both
+        # sum the bitwise-identical moment rows (see center_pooled).
         rows[cursor] = center_pooled(planned.pooled)
         if planned.itype.moment_order >= 2:
             np.multiply(rows[cursor], rows[cursor], out=rows[cursor + 1])

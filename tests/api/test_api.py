@@ -1,5 +1,5 @@
 """The stable facade: ``repro.Session``, ``repro.generate_notebook``,
-``repro.ReproConfig``, and the deprecation shims over the legacy surface."""
+and ``repro.ReproConfig``."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ import repro
 from repro import ReproConfig, Session, generate_notebook, obs
 from repro.datasets import covid_table
 from repro.errors import ReproError
-from repro.generation import GenerationConfig, NotebookGenerator
+from repro.generation import GenerationConfig
 from repro.generation.pipeline import preset
 from repro.insights import SignificanceConfig
 from repro.parallel import ParallelConfig
@@ -187,7 +187,7 @@ def test_config_round_trips_through_dict():
         solver="exact",
         generation=GenerationConfig(
             backend="sqlite",
-            significance=SignificanceConfig(kernel="legacy", n_permutations=123),
+            significance=SignificanceConfig(n_permutations=123),
             parallel=ParallelConfig(workers=3, chunk_size=17),
         ),
     )
@@ -210,6 +210,15 @@ def test_config_dict_is_json_serializable():
         ({"generation": {"bacckend": "sqlite"}}, "unknown generation keys"),
         ({"generation": {"significance": {"kernle": "batched"}}},
          "unknown significance keys"),
+        # Keys of retired runtime switches are typos now, not settings.
+        ({"generation": {"significance": {"kernel": "legacy"}}},
+         "unknown significance keys"),
+        ({"generation": {"mqo": False}}, "unknown generation keys"),
+        ({"generation": {"n_threads": 2}}, "unknown generation keys"),
+        ({"generation": {"parallel_backend": "threads"}},
+         "unknown generation keys"),
+        ({"generation": {"parallel": {"workers": 2, "backend": "threads"}}},
+         "unknown ParallelConfig keys"),
     ],
 )
 def test_from_dict_rejects_unknown_keys(payload, match):
@@ -221,17 +230,13 @@ def test_from_env_reads_the_ci_matrix_hooks():
     config = ReproConfig.from_env(
         {
             "REPRO_BACKEND": "sqlite",
-            "REPRO_STATS_KERNEL": "legacy",
             "REPRO_WORKERS": "2",
-            "REPRO_MQO": "0",
             "REPRO_BUDGET": "3.5",
             "REPRO_SOLVER": "exact",
             "REPRO_DEADLINE": "30",
         }
     )
     assert config.backend == "sqlite"
-    assert config.significance.kernel == "legacy"
-    assert config.generation.mqo is False
     assert config.parallel.workers == 2
     assert config.budget == 3.5
     assert config.solver == "exact"
@@ -245,18 +250,6 @@ def test_from_env_empty_is_default():
 def test_from_env_rejects_garbage_numbers():
     with pytest.raises(ReproError, match="REPRO_WORKERS"):
         ReproConfig.from_env({"REPRO_WORKERS": "many"})
-
-
-def test_from_env_rejects_garbage_mqo_flag():
-    with pytest.raises(ReproError, match="REPRO_MQO"):
-        ReproConfig.from_env({"REPRO_MQO": "maybe"})
-
-
-def test_mqo_round_trips_through_dict():
-    config = ReproConfig().with_generation(mqo=False)
-    restored = ReproConfig.from_dict(config.to_dict())
-    assert restored.generation.mqo is False
-    assert restored.to_dict() == config.to_dict()
 
 
 def test_with_helpers_are_functional_updates():
@@ -277,47 +270,17 @@ def test_config_validates_at_construction():
 
 
 # ---------------------------------------------------------------------------
-# Deprecation shims
+# Presets and plain construction stay warning-free
 # ---------------------------------------------------------------------------
-
-
-@pytest.fixture(autouse=True)
-def fresh_deprecations():
-    from repro.deprecation import reset
-
-    reset()
-    yield
-    reset()
-
-
-def test_notebook_generator_warns_once():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        NotebookGenerator()
-        NotebookGenerator()
-    messages = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-    assert len(messages) == 1
-    assert "repro.Session" in str(messages[0].message)
 
 
 def test_preset_does_not_warn():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        preset("wsc-approx")
+        config = preset("wsc-approx")
     assert not [w for w in caught if issubclass(w.category, DeprecationWarning)]
-
-
-def test_legacy_parallel_knobs_warn_once():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        config = GenerationConfig(n_threads=2, parallel_backend="processes")
-        GenerationConfig(n_threads=4)
-    messages = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-    assert len(messages) == 1
-    assert "ParallelConfig" in str(messages[0].message)
-    # The shim still takes effect.
-    assert config.effective_parallel().workers == 2
-    assert config.effective_parallel().backend == "processes"
+    assert isinstance(config, ReproConfig)
+    assert config.generation.evaluator == "setcover"
 
 
 def test_modern_config_does_not_warn():

@@ -2,8 +2,9 @@
 
 The headline acceptance test for incremental recompute: after appending
 rows, an incremental run must render a notebook *byte-identical* to a
-cold session over the concatenated data — across backends, permutation
-kernels, and worker counts — while skipping untouched partitions.
+cold session over the concatenated data — across backends and worker
+counts, and against a cold run on the per-test (legacy) kernel oracle —
+while skipping untouched partitions.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from repro.errors import ReproError
 from repro.notebook.ipynb import to_ipynb_json
 from repro.relational import write_csv
 from repro.relational.table import content_token
+from tests.oracles import legacy_kernel
 
 
 @pytest.fixture(autouse=True)
@@ -54,11 +56,11 @@ def block(start, stop):
     return out
 
 
-def quick_config(backend="columnar", kernel="batched", workers=1):
+def quick_config(backend="columnar", workers=1):
     return (
         ReproConfig(budget=3.0)
         .with_generation(backend=backend)
-        .with_significance(n_permutations=30, kernel=kernel)
+        .with_significance(n_permutations=30)
         .with_parallel(workers=workers)
     )
 
@@ -100,7 +102,9 @@ class TestAppendParity:
     def test_incremental_notebook_is_byte_identical(
         self, backend, kernel, workers
     ):
-        config = quick_config(backend, kernel, workers)
+        """``kernel`` picks the cold reference: a production run at the same
+        worker count, or an in-process run on the legacy kernel oracle."""
+        config = quick_config(backend, workers)
         with Session(table_prefix(BASE_ROWS), config=config) as session:
             session.generate()
             since = session.version  # the version the stats memo covers
@@ -110,8 +114,14 @@ class TestAppendParity:
             skipped = session.metrics.snapshot()["counters"].get(
                 "stats.partitions_skipped", 0
             )
-        with Session(FULL, config=config) as session:
-            cold = notebook_bytes(session, session.generate())
+        if kernel == "legacy":
+            with legacy_kernel(), Session(
+                FULL, config=config.with_parallel(workers=1)
+            ) as session:
+                cold = notebook_bytes(session, session.generate())
+        else:
+            with Session(FULL, config=config) as session:
+                cold = notebook_bytes(session, session.generate())
         assert warm == cold
         assert skipped > 0, "incremental run must actually skip partitions"
 

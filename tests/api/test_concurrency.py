@@ -8,17 +8,13 @@ to serial runs.
 
 from __future__ import annotations
 
-import sys
 import threading
-import warnings
 from collections import Counter
 
 import pytest
 
 from repro import ReproConfig, Session, obs
 from repro.datasets import covid_table, enedis_table
-from repro.deprecation import reset as reset_deprecations
-from repro.deprecation import warn_once
 from repro.generation import GenerationConfig, generate_comparison_queries
 from repro.notebook.ipynb import to_ipynb_json
 from repro.obs.metrics import MetricsRegistry
@@ -109,8 +105,8 @@ def test_runs_on_two_sessions_overlap_and_stay_isolated(config):
     assert a.start < b.end and b.start < a.end
 
 
-def test_thread_pool_tasks_record_into_the_run_context():
-    """Pool threads see the submitting run's ambient pair, not the default."""
+def test_pool_tasks_record_into_the_run_context():
+    """Pool workers' spans land in the submitting run's pair, not the default."""
 
     def default_count() -> int:
         # A fresh thread starts from the process-default ambient pair.
@@ -126,15 +122,17 @@ def test_thread_pool_tasks_record_into_the_run_context():
 
     before = default_count()
     config = GenerationConfig(
-        parallel=ParallelConfig(workers=2, backend="threads", chunk_size=4)
+        parallel=ParallelConfig(workers=2, chunk_size=4)
     )
     with obs.capture() as (tracer, _):
         with obs.span("test.run") as root:
             generate_comparison_queries(covid_table(600), config)
-    main = threading.get_ident()
-    tasks = tracer.find("stats.test_attribute")
-    pooled = [span for span in tasks if span.thread_id != main]
-    assert pooled, "no stats.test_attribute span ran on a pool thread"
+    by_id = {span.span_id: span for span in tracer.spans()}
+    pooled = [
+        span for span in tracer.find("stats.test_attribute")
+        if by_id[span.parent_id].name == "parallel.task"
+    ]
+    assert pooled, "no stats.test_attribute span ran on a pool worker"
     by_id = {span.span_id: span for span in tracer.spans()}
     for span in pooled:
         ancestor = span
@@ -142,30 +140,3 @@ def test_thread_pool_tasks_record_into_the_run_context():
             ancestor = by_id[ancestor.parent_id]
         assert ancestor is root
     assert default_count() == before
-
-
-def test_warn_once_warns_once_across_threads():
-    key = "test.concurrent-warn-once"
-    reset_deprecations()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            barrier = threading.Barrier(8)
-
-            def worker():
-                barrier.wait(timeout=JOIN_TIMEOUT)
-                for _ in range(200):
-                    warn_once(key, "once")
-
-            threads = [threading.Thread(target=worker) for _ in range(8)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=JOIN_TIMEOUT)
-        assert not any(thread.is_alive() for thread in threads)
-    finally:
-        sys.setswitchinterval(interval)
-        reset_deprecations()
-    assert [str(w.message) for w in caught] == ["once"]

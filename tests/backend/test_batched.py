@@ -14,15 +14,14 @@ import pytest
 
 from repro.backend import (
     AggregateRequest,
-    BackendError,
     ColumnarBackend,
     SqliteBackend,
     materialize_batch,
 )
-from repro.backend.base import parse_mqo_flag
 from repro.backend.sqlite import _MAX_BATCH_BRANCHES
 from repro.relational import table_from_arrays
 from repro.stats import derive_rng
+from tests.oracles import per_set_aggregates
 
 BACKENDS = {"columnar": ColumnarBackend, "sqlite": SqliteBackend}
 
@@ -92,6 +91,14 @@ class TestBatchParity:
         assert len(results) == len(REQUESTS)
         for request, got in zip(REQUESTS, results):
             ref = oracle.materialize_aggregate(request.attributes, request.measures)
+            assert_aggregates_equal(got, ref)
+        # The same through the capability-routed entry point and its oracle.
+        routed = materialize_batch(BACKENDS[backend_name](plain_table()), REQUESTS)
+        with per_set_aggregates():
+            per_set = materialize_batch(
+                BACKENDS[backend_name](plain_table()), REQUESTS
+            )
+        for got, ref in zip(routed, per_set):
             assert_aggregates_equal(got, ref)
 
     @pytest.mark.parametrize("backend_name", sorted(BACKENDS))
@@ -231,6 +238,14 @@ class TestFallback:
         assert len(results) == len(REQUESTS)
         assert stub.calls == [(r.attributes, r.measures) for r in REQUESTS]
 
+    def test_per_set_oracle_costs_one_statement_each(self):
+        backend = SqliteBackend(plain_table())
+        before = backend.statements_executed
+        with per_set_aggregates():
+            materialize_batch(backend, REQUESTS)
+        assert backend.statements_executed == before + len(REQUESTS)
+        assert SqliteBackend.capabilities.batched_aggregates  # restored
+
     def test_empty_batch_is_free(self):
         backend = SqliteBackend(plain_table())
         before = backend.statements_executed
@@ -238,19 +253,7 @@ class TestFallback:
         assert backend.statements_executed == before
 
 
-class TestFlagParsing:
-    @pytest.mark.parametrize("raw", [None, "", "1", "true", "ON", "yes"])
-    def test_on_values(self, raw):
-        assert parse_mqo_flag(raw) is True
-
-    @pytest.mark.parametrize("raw", ["0", "false", "OFF", "no"])
-    def test_off_values(self, raw):
-        assert parse_mqo_flag(raw) is False
-
-    def test_garbage_rejected(self):
-        with pytest.raises(BackendError, match="REPRO_MQO"):
-            parse_mqo_flag("maybe")
-
+class TestAggregateRequest:
     def test_request_canonicalizes_attribute_order(self):
         assert AggregateRequest.of(("b", "a")).attributes == ("a", "b")
         assert AggregateRequest.of(("a",), measures=["m"]).measures == ("m",)

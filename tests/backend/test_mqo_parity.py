@@ -1,24 +1,28 @@
 """MQO parity: batching changes statement counts, never results.
 
 The batched multi-aggregate compiler must be invisible in every output:
-with ``mqo`` on vs off the pipeline produces byte-identical serialized
-notebooks and interestingness scores within 1e-9, under either execution
-backend, either stats kernel, and worker counts 1 and 2.
+against the per-set oracle (``tests/oracles.per_set_aggregates``) the
+pipeline produces byte-identical serialized notebooks, interestingness
+scores within 1e-9, and equal ``aggregation_queries_sent``, under either
+execution backend, the production or the legacy stats kernel, and worker
+counts 1 and 2.
 """
 
 import dataclasses
+from contextlib import nullcontext
 
 import pytest
 
-from repro import obs
+from repro import ReproConfig, Session, obs
 from repro.backend import BACKEND_NAMES
-from repro.generation import GenerationConfig, NotebookGenerator
-from repro.insights.significance import KERNEL_NAMES, SignificanceConfig
+from repro.generation import GenerationConfig
+from repro.insights.significance import SignificanceConfig
 from repro.notebook import to_ipynb_json
 from repro.parallel import ParallelConfig
 from repro.relational import table_from_arrays
 from repro.runtime import resilient_generate
 from repro.stats import derive_rng
+from tests.oracles import legacy_kernel, per_set_aggregates
 
 
 @pytest.fixture(autouse=True)
@@ -42,17 +46,25 @@ def synthetic_table():
     )
 
 
-def run_once(config: GenerationConfig, mqo: bool):
+def run_once(config: GenerationConfig):
     table = synthetic_table()
-    generator = NotebookGenerator(dataclasses.replace(config, mqo=mqo))
-    run = generator.generate(table, budget=6)
+    with Session(table, config=ReproConfig(generation=config)) as session:
+        run = session.generate(budget=6)
     notebook = run.to_notebook(table=table, table_name="dataset")
     return run, to_ipynb_json(notebook).encode("utf-8")
 
 
 def assert_mqo_invisible(config: GenerationConfig):
-    run_on, payload_on = run_once(config, mqo=True)
-    run_off, payload_off = run_once(config, mqo=False)
+    """A production run of ``config`` ≡ an in-process per-set oracle run.
+
+    A pool run is compared against the in-process oracle run; the pool's
+    own worker-count invariance is tests/parallel/test_invariance.
+    """
+    run_on, payload_on = run_once(config)
+    with per_set_aggregates():
+        run_off, payload_off = run_once(
+            dataclasses.replace(config, parallel=ParallelConfig(workers=1))
+        )
     assert run_on.outcome.queries, "parity test needs a non-empty run"
     assert [g.query for g in run_on.outcome.queries] == [
         g.query for g in run_off.outcome.queries
@@ -70,14 +82,15 @@ def assert_mqo_invisible(config: GenerationConfig):
 
 
 @pytest.mark.parametrize("backend", BACKEND_NAMES)
-@pytest.mark.parametrize("kernel", sorted(KERNEL_NAMES))
+@pytest.mark.parametrize("kernel", ["batched", "legacy"])
 def test_mqo_parity_backends_and_kernels(backend, kernel):
-    assert_mqo_invisible(
-        GenerationConfig(
-            significance=SignificanceConfig(n_permutations=200, kernel=kernel),
-            backend=backend,
-        )
+    config = GenerationConfig(
+        significance=SignificanceConfig(n_permutations=200),
+        backend=backend,
+        parallel=ParallelConfig(workers=1),
     )
+    with legacy_kernel() if kernel == "legacy" else nullcontext():
+        assert_mqo_invisible(config)
 
 
 @pytest.mark.parametrize("backend", BACKEND_NAMES)
@@ -108,18 +121,9 @@ def test_run_report_records_the_plan():
     config = GenerationConfig(
         significance=SignificanceConfig(n_permutations=200),
         backend="sqlite",
-        mqo=True,  # explicit: the test must hold on the REPRO_MQO=0 CI leg
     )
     run = resilient_generate(table, config, budget=5, solver="heuristic")
     assert run.report is not None
-    assert run.report.mqo is True
     assert run.report.mqo_plan is not None
     assert run.report.mqo_plan["sets"] >= run.report.mqo_plan["batches"] >= 1
     assert any("mqo=" in line for line in run.report.summary_lines())
-
-    off = resilient_generate(
-        table, dataclasses.replace(config, mqo=False), budget=5, solver="heuristic"
-    )
-    assert off.report is not None
-    assert off.report.mqo is False
-    assert any("mqo=off" in line for line in off.report.summary_lines())

@@ -10,15 +10,17 @@ import dataclasses
 
 import pytest
 
-from repro import obs
+from repro import ReproConfig, Session, obs
 from repro.backend import BACKEND_NAMES
 from repro.datasets import covid_table
-from repro.generation import GenerationConfig, NotebookGenerator, SamplingSpec
+from repro.generation import GenerationConfig, SamplingSpec
 from repro.insights.significance import SignificanceConfig
 from repro.notebook.cells import MarkdownCell, SQLCell
+from repro.parallel import ParallelConfig
 from repro.relational import table_from_arrays
 from repro.runtime import resilient_generate, resilient_render
 from repro.stats import derive_rng
+from tests.oracles import legacy_kernel
 
 
 @pytest.fixture(autouse=True)
@@ -60,8 +62,9 @@ def fast_config(**overrides) -> GenerationConfig:
 
 
 def run_under(backend_name: str, table, config: GenerationConfig):
-    generator = NotebookGenerator(dataclasses.replace(config, backend=backend_name))
-    return generator.generate(table, budget=6)
+    config = dataclasses.replace(config, backend=backend_name)
+    with Session(table, config=ReproConfig(generation=config)) as session:
+        return session.generate(budget=6)
 
 
 def assert_runs_match(runs):
@@ -115,18 +118,21 @@ def test_notebook_cell_structure_identical():
 
 @pytest.mark.parametrize("backend", BACKEND_NAMES)
 def test_stats_kernel_parity_per_backend(backend):
-    """The kernel switch changes nothing observable: same tested insights,
-    byte-identical serialized notebooks, under either execution backend."""
-    from repro.insights.significance import KERNEL_NAMES
+    """The legacy kernel oracle changes nothing observable: same tested
+    insights, byte-identical serialized notebooks, under either backend."""
     from repro.notebook import to_ipynb_json
 
     table = DATASETS["synthetic"]()
     runs, payloads = {}, {}
-    for kernel in KERNEL_NAMES:
-        config = GenerationConfig(
-            significance=SignificanceConfig(n_permutations=200, kernel=kernel),
-        )
-        run = run_under(backend, table, config)
+    config = GenerationConfig(significance=SignificanceConfig(n_permutations=200))
+    # The oracle runs in-process, whatever $REPRO_WORKERS says.
+    oracle_config = dataclasses.replace(config, parallel=ParallelConfig(workers=1))
+    for kernel in ("batched", "legacy"):
+        if kernel == "legacy":
+            with legacy_kernel():
+                run = run_under(backend, table, oracle_config)
+        else:
+            run = run_under(backend, table, config)
         runs[kernel] = run
         notebook = run.to_notebook(table=table, table_name="dataset")
         payloads[kernel] = to_ipynb_json(notebook).encode("utf-8")

@@ -105,8 +105,11 @@ class TestStopwatchAndRunner:
         assert "phase" in watch.laps  # the lap still landed
 
     def test_run_preset(self):
+        from repro import obs
+
         covid = covid_table(300)
-        outcome = run_preset(preset("wsc-approx"), covid, "wsc-approx", budget=3)
+        with obs.capture():
+            outcome = run_preset(preset("wsc-approx"), covid, "wsc-approx", budget=3)
         assert outcome.preset_name == "wsc-approx"
         assert outcome.wall_seconds > 0
         assert outcome.n_queries >= len(outcome.run.selected)
@@ -130,10 +133,13 @@ class TestStopwatchAndRunner:
 
 @pytest.fixture(scope="module")
 def notebooks():
+    from repro import obs
+
     covid = covid_table(400)
     runs = {}
-    for name in ("wsc-approx", "wsc-approx-sig"):
-        runs[name] = preset(name).generate(covid, budget=4).selected
+    with obs.capture():
+        for name in ("wsc-approx", "wsc-approx-sig"):
+            runs[name] = run_preset(preset(name), covid, name, budget=4).run.selected
     return runs
 
 

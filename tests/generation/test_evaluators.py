@@ -20,6 +20,7 @@ from repro.generation.evaluators import (
 from repro.queries import ComparisonQuery
 from repro.relational import table_from_arrays
 from repro.stats import derive_rng
+from tests.oracles import per_set_aggregates
 
 
 @pytest.fixture
@@ -115,7 +116,7 @@ class TestSetCoverSpecifics:
 
 class TestPlanning:
     def test_planned_pairs_cost_nothing_at_evaluate_time(self, table):
-        pairwise = PairwiseEvaluator(table, mqo=True)
+        pairwise = PairwiseEvaluator(table)
         pairwise.plan([("a", "b"), ("b", "c")])
         sent = pairwise.queries_sent
         assert sent == 2
@@ -125,25 +126,32 @@ class TestPlanning:
         pairwise.evaluate(QUERIES[4])  # (a, c): unplanned, lazy build
         assert pairwise.queries_sent == sent + 1
 
-    def test_plan_is_a_noop_with_mqo_off(self, table):
-        pairwise = PairwiseEvaluator(table, mqo=False)
-        pairwise.plan([("a", "b")])
-        assert pairwise.queries_sent == 0
-        pairwise.evaluate(QUERIES[0])
-        assert pairwise.queries_sent == 1
+    def test_per_set_oracle_plans_the_same_sets(self, table):
+        planned = PairwiseEvaluator(ColumnarBackend(table))
+        planned.plan([("a", "b"), ("b", "c")])
+        with per_set_aggregates():
+            oracle = PairwiseEvaluator(ColumnarBackend(table))
+            oracle.plan([("a", "b"), ("b", "c")])
+        assert oracle.queries_sent == planned.queries_sent == 2
+        for query in QUERIES[:3]:
+            got, ref = planned.evaluate(query), oracle.evaluate(query)
+            assert got.groups == ref.groups
+            np.testing.assert_array_equal(got.x, ref.x)
+            np.testing.assert_array_equal(got.y, ref.y)
+        assert planned.queries_sent == oracle.queries_sent == 2
 
     def test_plan_skips_already_covered_pairs(self, table):
-        pairwise = PairwiseEvaluator(table, mqo=True)
+        pairwise = PairwiseEvaluator(table)
         pairwise.evaluate(QUERIES[0])  # builds (a, b) lazily
         pairwise.plan([("a", "b"), ("a", "b"), ("b", "c")])
         assert pairwise.queries_sent == 2  # only (b, c) was new
 
     def test_planned_results_match_lazy_results(self, table):
-        planned = PairwiseEvaluator(table, mqo=True)
+        planned = PairwiseEvaluator(table)
         planned.plan(
             [(q.group_by, q.selection_attribute) for q in QUERIES]
         )
-        lazy = PairwiseEvaluator(table, mqo=False)
+        lazy = PairwiseEvaluator(table)  # never planned: builds on demand
         for query in QUERIES:
             got, ref = planned.evaluate(query), lazy.evaluate(query)
             assert got.groups == ref.groups
@@ -176,7 +184,7 @@ class FailingBackend:
 
 class TestBoundedRetry:
     def test_builder_failure_propagates_immediately(self, table):
-        pairwise = PairwiseEvaluator(FailingBackend(table), mqo=False)
+        pairwise = PairwiseEvaluator(FailingBackend(table))
         with pytest.raises(BackendError, match="injected"):
             pairwise.evaluate(QUERIES[0])
 
@@ -188,7 +196,7 @@ class TestBoundedRetry:
         cache never covers the pair, and the loop must terminate with a
         BackendError instead of unbounded recursion.
         """
-        pairwise = PairwiseEvaluator(table, mqo=False)
+        pairwise = PairwiseEvaluator(table)
         key = frozenset((QUERIES[0].group_by, QUERIES[0].selection_attribute))
         stuck = threading.Event()
         stuck.set()
@@ -198,7 +206,7 @@ class TestBoundedRetry:
 
     def test_failed_plan_releases_reservations(self, table):
         backend = FailingBackend(table)
-        pairwise = PairwiseEvaluator(backend, mqo=True)
+        pairwise = PairwiseEvaluator(backend)
         with pytest.raises(BackendError, match="injected"):
             pairwise.plan([("a", "b")])
         # The reservation is gone: a later evaluate may become the builder

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.errors import TAPError
-from repro.generation import NotebookGenerator, preset, preset_names
+from repro import ReproConfig, Session, generate_notebook
+from repro.errors import ReproError, TAPError
+from repro.generation import GenerationConfig, preset, preset_names
 from repro.queries import sequence_distance
 from repro.datasets import covid_table
 
@@ -15,10 +16,17 @@ def covid_small():
 
 @pytest.fixture(scope="module")
 def default_run(covid_small):
-    return NotebookGenerator().generate(covid_small, budget=5)
+    return generate_notebook(covid_small, config=ReproConfig(budget=5))
+
+
+def run_config(table, config: ReproConfig, **overrides):
+    with Session(table, config=config) as session:
+        return session.generate(**overrides)
 
 
 class TestNotebookGenerator:
+    """The notebook generator end to end, through ``Session.generate``."""
+
     def test_budget_bounds_selection(self, default_run):
         assert len(default_run.selected) <= 5
 
@@ -37,27 +45,31 @@ class TestNotebookGenerator:
         assert default_run.timings.tap_solving >= 0.0
 
     def test_exact_solver_on_small_q(self, covid_small):
-        from repro.generation import GenerationConfig
-
-        config = GenerationConfig(
+        generation = GenerationConfig(
             insight_types=("M",), aggregates=("avg",),
             sampling=None,
         )
-        generator = NotebookGenerator(config, solver="exact", exact_timeout=30.0)
-        run = generator.generate(covid_small, budget=3, epsilon_distance=6.0)
-        heuristic = NotebookGenerator(config).generate(
-            covid_small, budget=3, epsilon_distance=6.0
+        exact = ReproConfig(generation=generation, solver="exact", exact_timeout=30.0)
+        run = run_config(covid_small, exact, budget=3, epsilon_distance=6.0)
+        heuristic = run_config(
+            covid_small, ReproConfig(generation=generation),
+            budget=3, epsilon_distance=6.0,
         )
+        assert run.report.stage("tap").rung == "exact"
         assert run.solution.interest >= heuristic.solution.interest - 1e-9
 
     def test_exact_refuses_oversized_q(self, covid_small):
-        generator = NotebookGenerator(solver="exact", max_exact_queries=3)
-        with pytest.raises(TAPError, match="refused"):
-            generator.generate(covid_small, budget=5)
+        # The exact solver needs the full distance matrix; past the size
+        # guard the run solves with the Algorithm 3 heuristic instead.
+        config = ReproConfig(solver="exact", max_exact_queries=3)
+        run = run_config(covid_small, config, budget=5)
+        assert len(run.outcome.queries) > 3
+        assert run.report.stage("tap").rung == "heuristic"
+        assert 0 < len(run.selected) <= 5
 
     def test_unknown_solver(self):
-        with pytest.raises(TAPError):
-            NotebookGenerator(solver="annealing")
+        with pytest.raises(ReproError, match="solver"):
+            ReproConfig(solver="annealing")
 
     def test_to_notebook(self, covid_small, default_run):
         notebook = default_run.to_notebook(covid_small, table_name="covid")
@@ -67,8 +79,7 @@ class TestNotebookGenerator:
 class TestPresets:
     def test_all_presets_construct(self):
         for name in preset_names():
-            generator = preset(name)
-            assert isinstance(generator, NotebookGenerator)
+            assert isinstance(preset(name), ReproConfig)
 
     def test_unknown_preset(self):
         with pytest.raises(TAPError, match="unknown preset"):
@@ -80,24 +91,24 @@ class TestPresets:
 
     def test_sampling_presets_configured(self):
         unb = preset("wsc-unb-approx", sample_rate=0.3)
-        assert unb.config.sampling.strategy == "unbalanced"
-        assert unb.config.sampling.rate == 0.3
+        assert unb.generation.sampling.strategy == "unbalanced"
+        assert unb.generation.sampling.rate == 0.3
         rand = preset("wsc-rand-approx")
-        assert rand.config.sampling.strategy == "random"
+        assert rand.generation.sampling.strategy == "random"
 
     def test_interestingness_variants(self):
-        sig = preset("wsc-approx-sig").config.interestingness
+        sig = preset("wsc-approx-sig").generation.interestingness
         assert not sig.use_conciseness and not sig.use_credibility
-        sig_cred = preset("wsc-approx-sig-cred").config.interestingness
+        sig_cred = preset("wsc-approx-sig-cred").generation.interestingness
         assert not sig_cred.use_conciseness and sig_cred.use_credibility
 
     def test_wsc_presets_use_setcover(self):
         for name in ("wsc-approx", "wsc-unb-approx", "wsc-rand-approx"):
-            assert preset(name).config.evaluator == "setcover"
+            assert preset(name).generation.evaluator == "setcover"
         for name in ("naive-exact", "naive-approx"):
-            assert preset(name).config.evaluator == "pairwise"
+            assert preset(name).generation.evaluator == "pairwise"
 
     def test_presets_generate_notebooks(self, covid_small):
         for name in ("wsc-approx", "wsc-rand-approx"):
-            run = preset(name, sample_rate=0.4).generate(covid_small, budget=4)
+            run = run_config(covid_small, preset(name, sample_rate=0.4), budget=4)
             assert len(run.selected) <= 4

@@ -9,6 +9,7 @@ from repro.insights import run_attribute_significance as run_attribute_tests
 from repro.insights import run_significance_tests as run_candidate_tests
 from repro.relational import table_from_arrays
 from repro.stats import derive_rng
+from tests.oracles import legacy_kernel
 
 
 @pytest.fixture
@@ -122,10 +123,11 @@ class TestTestCandidates:
     def test_progress_is_per_candidate_with_legacy_kernel(self, planted):
         candidates = list(enumerate_candidates(planted, measures=["m1"], insight_types=["M"]))
         calls = []
-        run_candidate_tests(
-            planted, candidates, SignificanceConfig(kernel="legacy"),
-            progress=lambda done, total: calls.append((done, total)),
-        )
+        with legacy_kernel():
+            run_candidate_tests(
+                planted, candidates, SignificanceConfig(),
+                progress=lambda done, total: calls.append((done, total)),
+            )
         assert [c[0] for c in calls] == list(range(1, len(candidates) + 1))
         assert all(total == len(candidates) for _, total in calls)
 
@@ -133,7 +135,7 @@ class TestTestCandidates:
         candidates = list(enumerate_candidates(planted, measures=["m1", "m2"]))
         calls = []
         run_candidate_tests(
-            planted, candidates, SignificanceConfig(kernel="batched"),
+            planted, candidates, SignificanceConfig(),
             progress=lambda done, total: calls.append((done, total)),
         )
         dones = [c[0] for c in calls]
@@ -202,4 +204,10 @@ class TestChunkInvariance:
         merged = finalize_attribute(oriented, results)
         assert [(t.candidate.key, t.p_value, t.p_adjusted) for t in whole] == [
             (t.candidate.key, t.p_value, t.p_adjusted) for t in merged
+        ]
+        # The one-per-chunk legacy oracle agrees with the batched whole.
+        with legacy_kernel():
+            legacy = run_attribute_tests(planted, "g", candidates)
+        assert [(t.candidate.key, t.p_value, t.p_adjusted) for t in whole] == [
+            (t.candidate.key, t.p_value, t.p_adjusted) for t in legacy
         ]

@@ -1,8 +1,10 @@
 """Worker-count invariance: the PR 5 determinism contract, end to end.
 
-For every execution backend and permutation kernel, a notebook generated
-with ``workers in {2, 4}`` must be byte-identical to the ``workers=1``
-run — same selected queries, same rendered ``.ipynb`` JSON — and the
+For every execution backend, a notebook generated with ``workers in
+{2, 4}`` must be byte-identical to the in-process ``workers=1`` run — on
+the production kernel and on the legacy kernel oracle
+(``tests/oracles.py``) alike — same selected queries, same rendered
+``.ipynb`` JSON — and the
 :class:`RunReport` must agree on everything except wall-clock timings and
 the worker count itself.  The column-store plane (``heap`` pickling vs
 ``shm`` zero-copy handles) is one more dimension that must never show up
@@ -20,6 +22,7 @@ from repro.insights import SignificanceConfig
 from repro.notebook import to_ipynb_json
 from repro.parallel import ParallelConfig
 from repro.relational.store import shm_available
+from tests.oracles import legacy_kernel
 
 BACKENDS = ("columnar", "sqlite")
 KERNELS = ("batched", "legacy")
@@ -37,11 +40,11 @@ def table():
     return covid_table(400)
 
 
-def _run(table, backend: str, kernel: str, workers: int, store: str = "heap"):
+def _run(table, backend: str, workers: int, store: str = "heap"):
     config = ReproConfig(
         generation=GenerationConfig(
             backend=backend,
-            significance=SignificanceConfig(kernel=kernel, n_permutations=80),
+            significance=SignificanceConfig(n_permutations=80),
             parallel=ParallelConfig(workers=workers, chunk_size=10, store=store),
         ),
         budget=6.0,
@@ -73,9 +76,14 @@ _baselines: dict[tuple[str, str], tuple] = {}
 
 
 def _baseline(table, backend: str, kernel: str):
+    """The in-process reference run, on the production or the legacy kernel."""
     key = (backend, kernel)
     if key not in _baselines:
-        _baselines[key] = _run(table, backend, kernel, workers=1)
+        if kernel == "legacy":
+            with legacy_kernel():
+                _baselines[key] = _run(table, backend, workers=1)
+        else:
+            _baselines[key] = _run(table, backend, workers=1)
     return _baselines[key]
 
 
@@ -89,7 +97,7 @@ def test_notebook_is_byte_identical_across_worker_counts(
     if store == "shm" and not shm_available():
         pytest.skip("shared memory unavailable on this platform")
     base_run, base_json = _baseline(table, backend, kernel)
-    run, ipynb_json = _run(table, backend, kernel, workers, store)
+    run, ipynb_json = _run(table, backend, workers, store)
 
     assert ipynb_json == base_json
     assert [str(q.query) for q in run.selected] == [
@@ -100,4 +108,3 @@ def test_notebook_is_byte_identical_across_worker_counts(
     assert run.report.workers == workers
     assert base_run.report.workers == 1
     assert run.report.backend == backend
-    assert run.report.stats_kernel == kernel

@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import os
+import pickle
+import signal
 import time
 
 import pytest
 
 from repro import obs
 from repro.errors import DeadlineExceeded, ReproError
-from repro.parallel import ParallelConfig, ShardPool
+from repro.parallel import ParallelConfig, ShardPool, WorkerFleet
 from repro.runtime.deadline import Deadline
 
 
@@ -77,6 +79,10 @@ def _bad_init(payload):
     raise RuntimeError("init exploded")
 
 
+def _blob(ctx, size):
+    return b"x" * size
+
+
 def test_results_come_back_in_payload_order():
     pool = ShardPool(ParallelConfig(workers=4), task_fn=_double)
     assert pool.run(list(range(10))) == [i * 2 for i in range(10)]
@@ -112,6 +118,45 @@ def test_crashed_worker_is_replaced_and_its_shard_requeued(tmp_path):
     )
     assert pool.run(payloads) == [i * 3 for i in range(6)]
     assert _counters().get("parallel.worker_restarts", 0) >= 1
+
+
+def _start_stage(fleet, worker_id, epoch, payloads):
+    """Set ``worker_id`` up for a ``_blob`` stage and send it one block."""
+    init_blob = pickle.dumps((_blob, None, None))
+    fleet.send(worker_id, ("setup", epoch, init_blob, None, "t", None))
+    fleet.send(worker_id, ("block", epoch, 0, list(enumerate(payloads))))
+
+
+def test_worker_killed_mid_write_cannot_wedge_the_survivor():
+    """A worker SIGKILLed while writing a result leaves the others working.
+
+    Worker 0 ships a result far larger than a pipe buffer that nobody
+    reads, so it is blocked mid-write when it is killed.  Over a result
+    channel shared between workers, the dead writer would keep its write
+    lock (or leave a torn message) and the survivor's results would never
+    reach the parent.
+    """
+    with WorkerFleet() as fleet:
+        doomed, survivor = fleet.ensure(2)
+        epoch = fleet.next_epoch()
+        _start_stage(fleet, doomed, epoch, [8 << 20])
+        time.sleep(0.5)  # let it set up, compute, and fill its pipe
+        process = fleet._workers[doomed].process
+        os.kill(process.pid, signal.SIGKILL)
+        process.join(timeout=5.0)
+        _start_stage(fleet, survivor, epoch, [16])
+
+        results = None
+        give_up = time.monotonic() + 15.0
+        while results is None and time.monotonic() < give_up:
+            message = fleet.recv(timeout=0.1)
+            if message is not None and message[0] == "results":
+                results = message
+        assert results is not None, "the survivor's result never arrived"
+        assert results[1] == survivor
+        (task_id, ok, value, _, _), = results[4]
+        assert ok and value == b"x" * 16
+        assert not fleet.alive(doomed)
 
 
 def test_restart_budget_exhausted_degrades_to_in_process():

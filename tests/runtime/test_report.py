@@ -61,16 +61,17 @@ class TestSerialization:
 
     def test_mqo_fields_round_trip(self):
         report = sample_report()
-        report.mqo = False
         report.mqo_plan = {"batches": 3, "sets": 17}
         restored = RunReport.from_dict(report.as_dict())
-        assert restored.mqo is False
         assert restored.mqo_plan == {"batches": 3, "sets": 17}
 
-    def test_old_checkpoints_default_mqo_on(self):
-        restored = RunReport.from_dict({})
-        assert restored.mqo is True
+    def test_retired_switch_keys_are_ignored(self):
+        restored = RunReport.from_dict(
+            {"stats_kernel": "legacy", "mqo": False, "workers": 2}
+        )
+        assert restored.workers == 2
         assert restored.mqo_plan is None
+        assert not {"stats_kernel", "mqo"} & set(restored.as_dict())
 
     def test_from_dict_defaults(self):
         restored = RunReport.from_dict({})
@@ -100,7 +101,3 @@ class TestSummaryLines:
         report = RunReport(backend="sqlite", mqo_plan={"batches": 2, "sets": 9})
         text = "\n".join(report.summary_lines())
         assert "mqo=9 sets/2 batches" in text
-
-    def test_backend_line_shows_mqo_off(self):
-        report = RunReport(backend="sqlite", mqo=False)
-        assert any("mqo=off" in line for line in report.summary_lines())

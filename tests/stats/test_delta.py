@@ -7,6 +7,8 @@ import pytest
 from repro.errors import ReproError
 from repro.generation.config import GenerationConfig, SamplingSpec
 from repro.insights.insight import CandidateInsight
+from repro.parallel import ParallelConfig
+from repro.persistence import stats_config_token
 from repro.stats.delta import (
     StatsMemo,
     incremental_config_token,
@@ -43,8 +45,18 @@ class TestConfigToken:
         one = GenerationConfig()
         # Backend, chunking, and parallelism are row-level-invariant: the
         # token must not move, or appends could never reuse a memo.
-        two = dataclasses.replace(one, backend="sqlite", mqo=False)
+        two = dataclasses.replace(
+            one, backend="sqlite", parallel=ParallelConfig(workers=3, chunk_size=17)
+        )
         assert incremental_config_token(one) == incremental_config_token(two)
+
+    def test_default_tokens_match_earlier_releases(self):
+        """Memos and stats-partial checkpoints written before the kernel and
+        MQO switches were removed must stay reusable: pin both tokens of
+        the default configuration."""
+        config = GenerationConfig(backend="columnar")
+        assert incremental_config_token(config) == "04d9a7cf282bae35"
+        assert stats_config_token(config, 3000) == "379acc735e8781bb"
 
     @pytest.mark.parametrize(
         "mutate",
@@ -57,13 +69,10 @@ class TestConfigToken:
             lambda c: with_significance(c, n_permutations=77),
             lambda c: with_significance(c, seed=1),
             lambda c: with_significance(c, threshold=0.9),
-            lambda c: with_significance(c, kernel="legacy"),
         ],
     )
     def test_sensitive_to_result_shaping_fields(self, mutate):
-        # Pin the kernel: the default comes from REPRO_STATS_KERNEL, and in
-        # the legacy CI leg kernel="legacy" would otherwise change nothing.
-        base = with_significance(GenerationConfig(), kernel="batched")
+        base = GenerationConfig()
         assert incremental_config_token(base) != incremental_config_token(
             mutate(base)
         )

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.errors import StatisticsError
 from repro.insights import (
     SignificanceConfig,
     enumerate_candidates,
@@ -13,11 +12,8 @@ from repro.insights import (
 from repro.insights.types import MEAN_GREATER, MEDIAN_GREATER, VARIANCE_GREATER
 from repro.relational import table_from_arrays
 from repro.stats import (
-    KERNEL_NAMES,
-    STATS_KERNEL_ENV_VAR,
     KernelTest,
     SharedPermutations,
-    default_stats_kernel,
     derive_rng,
     mean_difference,
     mean_stat_from_moments,
@@ -27,37 +23,12 @@ from repro.stats import (
     variance_stat_from_moments,
 )
 from repro.stats.kernel import MAX_STACK_ROWS
+from tests.oracles import legacy_kernel
 
 
 @pytest.fixture
 def prng():
     return derive_rng(31, "kernel-tests")
-
-
-class TestDefaultKernel:
-    def test_unset_env_means_batched(self, monkeypatch):
-        monkeypatch.delenv(STATS_KERNEL_ENV_VAR, raising=False)
-        assert default_stats_kernel() == "batched"
-
-    def test_env_selects_kernel(self, monkeypatch):
-        monkeypatch.setenv(STATS_KERNEL_ENV_VAR, "legacy")
-        assert default_stats_kernel() == "legacy"
-        assert SignificanceConfig().kernel == "legacy"
-
-    def test_env_is_case_insensitive(self, monkeypatch):
-        monkeypatch.setenv(STATS_KERNEL_ENV_VAR, " Batched ")
-        assert default_stats_kernel() == "batched"
-
-    def test_invalid_env_raises(self, monkeypatch):
-        monkeypatch.setenv(STATS_KERNEL_ENV_VAR, "turbo")
-        with pytest.raises(StatisticsError, match="REPRO_STATS_KERNEL"):
-            default_stats_kernel()
-
-    def test_config_validates_kernel(self):
-        with pytest.raises(StatisticsError, match="kernel"):
-            SignificanceConfig(kernel="turbo")
-        for name in KERNEL_NAMES:
-            assert SignificanceConfig(kernel=name).kernel == name
 
 
 class TestMomentFormulas:
@@ -242,21 +213,34 @@ def _tested_tuples(table, config):
     ]
 
 
+def _batched_and_legacy(table, config):
+    """The production kernel's and the legacy oracle's tested tuples."""
+    batched = _tested_tuples(table, config)
+    with legacy_kernel():
+        legacy = _tested_tuples(table, config)
+    return batched, legacy
+
+
 class TestKernelParityEndToEnd:
-    """The config switch must not change a single tested insight."""
+    """The legacy kernel oracle must agree on every tested insight."""
 
     def test_batched_equals_legacy(self, planted):
-        batched = _tested_tuples(planted, SignificanceConfig(kernel="batched"))
-        legacy = _tested_tuples(planted, SignificanceConfig(kernel="legacy"))
+        with obs.capture() as (_, metrics):
+            batched = _tested_tuples(planted, SignificanceConfig())
+            gemms = metrics.snapshot()["counters"]["stats.kernel_batches"]
+        with obs.capture() as (_, metrics), legacy_kernel():
+            legacy = _tested_tuples(planted, SignificanceConfig())
+            oracle_gemms = metrics.snapshot()["counters"].get(
+                "stats.kernel_batches", 0
+            )
         assert batched == legacy
+        # Each side really ran its own path.
+        assert gemms > 0 and oracle_gemms == 0
 
     def test_parity_with_fresh_batches_per_pair(self, planted):
         """share_across_pairs=False exercises the counter-derived RNG keys."""
-        batched = _tested_tuples(
-            planted, SignificanceConfig(kernel="batched", share_across_pairs=False)
-        )
-        legacy = _tested_tuples(
-            planted, SignificanceConfig(kernel="legacy", share_across_pairs=False)
+        batched, legacy = _batched_and_legacy(
+            planted, SignificanceConfig(share_across_pairs=False)
         )
         assert batched == legacy
 
@@ -264,11 +248,8 @@ class TestKernelParityEndToEnd:
         """The degradation ladder's cut count agrees across kernels too."""
         cut = reduced_permutations(200, 4)
         assert cut < 200
-        batched = _tested_tuples(
-            planted, SignificanceConfig(kernel="batched", n_permutations=cut)
-        )
-        legacy = _tested_tuples(
-            planted, SignificanceConfig(kernel="legacy", n_permutations=cut)
+        batched, legacy = _batched_and_legacy(
+            planted, SignificanceConfig(n_permutations=cut)
         )
         assert batched == legacy
 
@@ -280,12 +261,9 @@ class TestKernelParityEndToEnd:
             CandidateInsight("m1", "g", "g1", "g2", "M"),
             CandidateInsight("m2", "g", "g2", "g0", "V"),
         ]
-        batched = run_significance_tests(
-            planted, candidates, SignificanceConfig(kernel="batched")
-        )
-        legacy = run_significance_tests(
-            planted, candidates, SignificanceConfig(kernel="legacy")
-        )
+        batched = run_significance_tests(planted, candidates, SignificanceConfig())
+        with legacy_kernel():
+            legacy = run_significance_tests(planted, candidates, SignificanceConfig())
         assert [(t.candidate.key, t.p_value) for t in batched] == [
             (t.candidate.key, t.p_value) for t in legacy
         ]

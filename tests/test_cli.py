@@ -315,36 +315,25 @@ class TestSinceCheckpoint:
         assert out.exists()
 
 
-class TestThreadsDeprecation:
-    def test_threads_warns_once_and_maps_to_workers(self, covid_csv, tmp_path):
-        import warnings
+class TestExecutionFlags:
+    @pytest.mark.parametrize(
+        "flag",
+        [["--threads", "2"], ["--stats-kernel", "legacy"],
+         ["--parallel-backend", "threads"]],
+    )
+    def test_retired_flags_are_rejected(self, flag, capsys):
+        from repro.cli import build_parser
 
-        from repro import deprecation
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["generate", "x.csv", *flag])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
-        deprecation.reset()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert main(["generate", str(covid_csv), "--threads", "2",
-                         "--budget", "3", "--out", str(tmp_path / "t.ipynb"),
-                         "--quiet"]) == 0
-        messages = [str(w.message) for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-        assert any("--threads is deprecated" in m for m in messages)
-
-    def test_workers_takes_precedence_over_threads(self):
-        from repro import deprecation
+    def test_workers_sets_the_pool_size(self):
         from repro.cli import _config_from_args, build_parser
 
-        deprecation.reset()
-        args = build_parser().parse_args(
-            ["generate", "x.csv", "--threads", "3", "--workers", "2"]
-        )
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            config = _config_from_args(args)
-        assert config.parallel.workers == 2
+        args = build_parser().parse_args(["generate", "x.csv", "--workers", "2"])
+        assert _config_from_args(args).parallel.workers == 2
 
 
 class TestErrorExits:

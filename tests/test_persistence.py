@@ -1,13 +1,15 @@
 """Tests for saving/loading generation runs."""
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.datasets import covid_table
-from repro.generation import NotebookGenerator
+from repro import ReproConfig, generate_notebook
 from repro.persistence import (
     PersistenceError,
+    load_checkpoint,
     load_outcome,
     load_run,
     outcome_from_dict,
@@ -25,7 +27,7 @@ def covid():
 
 @pytest.fixture(scope="module")
 def run(covid):
-    return NotebookGenerator().generate(covid, budget=5)
+    return generate_notebook(covid, config=ReproConfig(budget=5))
 
 
 class TestRoundTrip:
@@ -133,6 +135,78 @@ class TestRunReportPersistence:
 
     def test_plain_run_has_no_report(self, run, tmp_path):
         path = tmp_path / "plain.json"
-        save_run(run, path)
+        save_run(dataclasses.replace(run, report=None), path)
         assert "report" not in json.loads(path.read_text())
         assert load_run(path).report is None
+
+
+#: A run report as earlier releases wrote it, while the stats kernel and
+#: multi-query optimization were still runtime switches.
+EARLIER_REPORT = {
+    "stages": [
+        {"name": "stats", "status": "completed", "rung": "full",
+         "seconds": 0.23, "retries": 0, "degradations": [], "warnings": [],
+         "error": None},
+        {"name": "generation", "status": "completed", "rung": "pairwise",
+         "seconds": 0.05, "retries": 0, "degradations": [], "warnings": [],
+         "error": None},
+        {"name": "tap", "status": "completed", "rung": "heuristic",
+         "seconds": 0.001, "retries": 0, "degradations": [], "warnings": [],
+         "error": None},
+    ],
+    "deadline_seconds": None,
+    "total_seconds": 0.28,
+    "resumed_from": None,
+    "backend": "columnar",
+    "backend_statements": 0,
+    "stats_kernel": "batched",
+    "workers": 1,
+    "mqo": True,
+    "mqo_plan": {"batches": 3, "sets": 2},
+}
+
+RETIRED_REPORT_KEYS = {"stats_kernel": "legacy", "mqo": False}
+
+
+class TestEarlierDocuments:
+    """Documents carrying the retired ``stats_kernel``/``mqo`` keys load."""
+
+    def test_report_dict_loads_and_drops_retired_keys(self):
+        from repro.runtime.report import RunReport
+
+        report = RunReport.from_dict(EARLIER_REPORT)
+        assert [s.name for s in report.stages] == ["stats", "generation", "tap"]
+        assert report.backend == "columnar"
+        assert report.mqo_plan == {"batches": 3, "sets": 2}
+        assert not set(RETIRED_REPORT_KEYS) & set(report.as_dict())
+
+    def test_saved_run_loads(self, covid, tmp_path):
+        from repro.runtime import resilient_generate
+
+        resilient = resilient_generate(covid, budget=4)
+        path = tmp_path / "run.json"
+        save_run(resilient, path)
+        document = json.loads(path.read_text())
+        document["report"].update(RETIRED_REPORT_KEYS)
+        path.write_text(json.dumps(document))
+        loaded = load_run(path)
+        assert loaded.report.as_dict() == resilient.report.as_dict()
+        assert [g.query for g in loaded.selected] == [
+            g.query for g in resilient.selected
+        ]
+
+    def test_checkpoint_loads_and_resumes(self, covid, tmp_path):
+        from repro.runtime import resilient_generate
+
+        path = tmp_path / "run.ckpt.json"
+        cold = resilient_generate(covid, budget=4, checkpoint_path=path)
+        document = json.loads(path.read_text())
+        document["report"].update(RETIRED_REPORT_KEYS)
+        path.write_text(json.dumps(document))
+        checkpoint = load_checkpoint(path)
+        assert checkpoint.report is not None
+        resumed = resilient_generate(covid, budget=4, resume=checkpoint)
+        assert resumed.report.resumed_from
+        assert [g.query for g in resumed.selected] == [
+            g.query for g in cold.selected
+        ]
