@@ -26,10 +26,14 @@ A :class:`WorkerFleet` decouples worker lifetime from stage lifetime:
   precisely what the data plane pays.  This is the counter the
   data-plane benchmark asserts its ≥10x shrink against;
 * **crash containment** — each worker owns its task queue and its result
-  pipe, and writes results synchronously (no feeder thread, no lock shared
-  with other workers).  A worker that dies at any instant — OOM killer,
-  native fault, mid-write — can only break its own channels, which the
-  parent discards with it; it cannot wedge the survivors.
+  pipe; no lock is shared between workers.  A sender thread in the worker
+  writes the results, so the worker keeps reading tasks while the parent
+  is not reading (a stale result from a cancelled stage cannot block the
+  next stage's setup).  Spawns are serialized until the parent has closed
+  the new pipe's write end, so only the worker holds it and its death —
+  OOM killer, native fault, mid-write — reads as end-of-file.  A dead
+  worker can only break its own channels, which the parent discards with
+  it; it cannot wedge the survivors.
 
 The fleet is deliberately generic: it knows nothing about tables or
 handles.  Zero-copy comes from what the *payloads* are — a
@@ -43,7 +47,8 @@ import logging
 import multiprocessing as mp
 import os
 import pickle
-import time
+import queue
+import threading
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -69,10 +74,12 @@ _INJECTED_EXIT = 17
 #: closed.
 _STATE_CACHE_SIZE = 4
 
-
-#: Seconds :meth:`WorkerFleet.close` grants each worker to exit on its own
-#: before terminating it.
-_CLOSE_GRACE_SECONDS = 2.0
+#: Held from creating a worker's result pipe until the parent has closed
+#: its write end.  A fork from another thread inside that window (two
+#: sessions spawning at once) would give an unrelated, long-lived worker a
+#: copy of the write end, and the worker's death would never read as
+#: end-of-file.
+_SPAWN_LOCK = threading.Lock()
 
 
 def _maybe_injected_worker_kill(guard_dir: str | None) -> None:
@@ -182,9 +189,20 @@ def _fleet_worker_main(worker_id: int, task_queue, results,
     # hit, so eviction drops the least recently *set up* stage — never
     # the one the live stage points at.
     states: dict[bytes, tuple[Any, Any]] = {}
+    # Results leave through a sender thread, so this loop keeps reading
+    # tasks while the parent is not reading results.  A daemon: pending
+    # results die with the worker, as nobody would read them.
+    outbox: queue.SimpleQueue = queue.SimpleQueue()
+
+    def send_all() -> None:
+        while True:
+            results.send_bytes(outbox.get())
+
+    threading.Thread(target=send_all, daemon=True,
+                     name=f"repro-fleet-{worker_id}-results").start()
 
     def ship(message: tuple) -> None:
-        results.send_bytes(pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL))
+        outbox.put(pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL))
 
     try:
         while True:
@@ -268,8 +286,6 @@ def _fleet_worker_main(worker_id: int, task_queue, results,
                     if not ok:
                         break
                 ship(("results", worker_id, epoch, block_index, outputs))
-    except BrokenPipeError:
-        pass  # the parent closed our result pipe: nobody is listening
     finally:
         for _, state in states.values():
             _close_state(state)
@@ -332,17 +348,18 @@ class WorkerFleet:
         worker_id = self._next_worker_id
         self._next_worker_id += 1
         task_queue = self._ctx.SimpleQueue()
-        reader, writer = self._ctx.Pipe(duplex=False)
-        process = self._ctx.Process(
-            target=_fleet_worker_main,
-            args=(worker_id, task_queue, writer, self._cancel),
-            daemon=True,
-            name=f"repro-fleet-{worker_id}",
-        )
-        process.start()
-        # The worker now holds the write end; dropping ours lets its death
-        # read as end-of-file.
-        writer.close()
+        with _SPAWN_LOCK:
+            reader, writer = self._ctx.Pipe(duplex=False)
+            process = self._ctx.Process(
+                target=_fleet_worker_main,
+                args=(worker_id, task_queue, writer, self._cancel),
+                daemon=True,
+                name=f"repro-fleet-{worker_id}",
+            )
+            process.start()
+            # The worker now holds the write end; dropping ours lets its
+            # death read as end-of-file.
+            writer.close()
         self._workers[worker_id] = _Worker(process, task_queue, reader)
         obs.counter("parallel.worker_spawns").inc()
         return worker_id
@@ -435,7 +452,11 @@ class WorkerFleet:
             except (OSError, ValueError):  # pragma: no cover - dying worker
                 pass
         for worker in self._workers.values():
-            _join_draining(worker)
+            worker.process.join(timeout=2.0)
+            if worker.process.is_alive():  # pragma: no cover - stuck worker
+                worker.process.terminate()
+                worker.process.join(timeout=1.0)
+            worker.drop_results()
         self._workers.clear()
 
     def __enter__(self) -> "WorkerFleet":
@@ -443,30 +464,6 @@ class WorkerFleet:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-def _join_draining(worker: _Worker) -> None:
-    """Wait for a stopping worker, discarding results nobody will read.
-
-    A worker blocked writing a stale result (one larger than the pipe
-    buffer) would otherwise never reach the stop message.
-    """
-    deadline = time.monotonic() + _CLOSE_GRACE_SECONDS
-    while worker.process.is_alive():
-        remaining = deadline - time.monotonic()
-        if remaining <= 0:  # pragma: no cover - stuck worker
-            worker.process.terminate()
-            worker.process.join(timeout=1.0)
-            break
-        handles = [worker.process.sentinel]
-        if worker.results is not None:
-            handles.append(worker.results)
-        if worker.results in wait(handles, remaining):
-            try:
-                worker.results.recv_bytes()
-            except (EOFError, OSError):
-                worker.drop_results()
-    worker.drop_results()
 
 
 #: The ambient fleet, installed by ``api.Session`` around each run.  Like

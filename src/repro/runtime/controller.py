@@ -35,7 +35,7 @@ from typing import Callable, Sequence
 from repro import obs
 from repro.backend import create_backend
 from repro.backend.base import ExecutionBackend
-from repro.errors import DeadlineExceeded, ReproError, SolverTimeout
+from repro.errors import DeadlineExceeded, ReproError, SolverTimeout, TAPError
 from repro.generation.config import GenerationConfig, SamplingSpec
 from repro.generation.generator import (
     GeneratedQuery,
@@ -319,12 +319,19 @@ def _tap_ladder(
         return query_distance(queries[i].query, queries[j].query, weights)
 
     rungs: list[_Rung] = []
-    if solver == "exact" and len(queries) <= max_exact_queries:
+    if solver == "exact":
 
         def run_exact(deadline: Deadline, notes: list[str]) -> TAPSolution:
             import numpy as np
 
             n = len(queries)
+            if n > max_exact_queries:
+                # The exact solver needs the full n x n distance matrix;
+                # refusing here records the fallback in the run report.
+                raise TAPError(
+                    f"{n} candidate queries exceed max_exact_queries="
+                    f"{max_exact_queries}"
+                )
             with obs.span("tap.distance_matrix", n=n):
                 matrix = np.zeros((n, n))
                 for i in range(n):

@@ -60,11 +60,17 @@ class TestNotebookGenerator:
 
     def test_exact_refuses_oversized_q(self, covid_small):
         # The exact solver needs the full distance matrix; past the size
-        # guard the run solves with the Algorithm 3 heuristic instead.
+        # guard it refuses, and the report says the run fell back to the
+        # Algorithm 3 heuristic.
         config = ReproConfig(solver="exact", max_exact_queries=3)
         run = run_config(covid_small, config, budget=5)
         assert len(run.outcome.queries) > 3
-        assert run.report.stage("tap").rung == "heuristic"
+        tap = run.report.stage("tap")
+        assert tap.rung == "heuristic"
+        assert run.report.degraded
+        assert tap.degradations == ["fell back to the Algorithm 3 heuristic"]
+        assert any("max_exact_queries=3" in w for w in tap.warnings)
+        assert not run.solution.optimal
         assert 0 < len(run.selected) <= 5
 
     def test_unknown_solver(self):

@@ -2,16 +2,18 @@
 
 from __future__ import annotations
 
+import contextvars
 import os
 import pickle
 import signal
+import threading
 import time
 
 import pytest
 
 from repro import obs
 from repro.errors import DeadlineExceeded, ReproError
-from repro.parallel import ParallelConfig, ShardPool, WorkerFleet
+from repro.parallel import ParallelConfig, ShardPool, WorkerFleet, use_fleet
 from repro.runtime.deadline import Deadline
 
 
@@ -81,6 +83,18 @@ def _bad_init(payload):
 
 def _blob(ctx, size):
     return b"x" * size
+
+
+def _late_blob_or_fail(ctx, payload):
+    seconds, size = payload
+    if size is None:
+        raise ValueError("stage ends here")
+    time.sleep(seconds)
+    return b"x" * size
+
+
+def _state_size(ctx, payload):
+    return len(ctx.state) + payload
 
 
 def test_results_come_back_in_payload_order():
@@ -157,6 +171,87 @@ def test_worker_killed_mid_write_cannot_wedge_the_survivor():
         (task_id, ok, value, _, _), = results[4]
         assert ok and value == b"x" * 16
         assert not fleet.alive(doomed)
+
+
+class _RacingContext:
+    """A start-method context whose workers start only after another
+    thread has tried to spawn a worker of ``other`` (bounded wait)."""
+
+    def __init__(self, ctx, other: WorkerFleet):
+        self._ctx = ctx
+        self._other = other
+
+    def __getattr__(self, name):
+        return getattr(self._ctx, name)
+
+    def Process(self, *args, **kwargs):
+        process = self._ctx.Process(*args, **kwargs)
+        start = process.start
+
+        def start_after_a_racing_fork():
+            racer = threading.Thread(target=self._other.spawn, daemon=True)
+            racer.start()
+            racer.join(timeout=0.5)
+            start()
+
+        process.start = start_after_a_racing_fork
+        return process
+
+
+def test_a_concurrent_spawn_cannot_inherit_a_result_pipe():
+    """Another fleet forking mid-spawn must not keep a result pipe open.
+
+    The racing fork lands between creating the new worker's result pipe
+    and the parent closing its write end, unless spawns are serialized.
+    A worker forked there would hold that write end for its whole life,
+    and the new worker's death would never read as end-of-file.
+    """
+    with WorkerFleet() as other:
+        base = other._ctx
+        with WorkerFleet(_RacingContext(base, other)) as fleet:
+            worker_id = fleet.spawn()
+            deadline = time.monotonic() + 10.0
+            while len(other._workers) < 1 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert len(other._workers) == 1
+            worker = fleet._workers[worker_id]
+            os.kill(worker.process.pid, signal.SIGKILL)
+            worker.process.join(timeout=5.0)
+            assert worker.results.poll(5.0), "the dead worker's pipe never closed"
+            with pytest.raises(EOFError):
+                worker.results.recv_bytes()
+
+
+def test_stale_result_cannot_block_the_next_stage_on_a_warm_fleet():
+    """A stage that ends with a block in flight leaves the next one working.
+
+    The first stage fails on one worker while the other is still computing
+    a result far larger than a pipe buffer; nobody will read that result.
+    The next stage on the same fleet then ships a setup blob far larger
+    than a pipe buffer to that worker (as the heap data plane does with a
+    whole table).  A worker that wrote its stale result synchronously
+    would never read the setup, and the parent's blocking send would wait
+    on it forever.  The scenario runs in a thread under a wall-clock bound.
+    """
+    outcome: list = []
+
+    def scenario() -> None:
+        with WorkerFleet() as fleet, use_fleet(fleet):
+            first = ShardPool(ParallelConfig(workers=2),
+                              task_fn=_late_blob_or_fail)
+            with pytest.raises(ReproError, match="stage ends here"):
+                first.run([(1.0, 4 << 20), (0.0, None)])
+            second = ShardPool(ParallelConfig(workers=2), task_fn=_state_size,
+                               init_payload=b"y" * (4 << 20))
+            outcome.append(second.run([1, 2, 3, 4]))
+
+    runner = threading.Thread(
+        target=contextvars.copy_context().run, args=(scenario,), daemon=True
+    )
+    runner.start()
+    runner.join(timeout=30.0)
+    assert not runner.is_alive(), "the second stage never completed"
+    assert outcome == [[(4 << 20) + i for i in (1, 2, 3, 4)]]
 
 
 def test_restart_budget_exhausted_degrades_to_in_process():
